@@ -45,7 +45,6 @@ from harness import write_bench_json
 from repro.core import DistributedSamplingRun
 from repro.obs import TraceCollector, validate_chrome_trace
 from repro.obs.tracer import NULL_TRACER
-from repro.pipeline import PipelinedSamplingRun
 from repro.runtime.metrics import PHASES
 
 ALGORITHM = "ours-8"
@@ -75,8 +74,8 @@ def null_call_cost(calls: int = 200_000) -> float:
     return best / calls
 
 
-def _pipelined(trace=None) -> "PipelinedSamplingRun":
-    return PipelinedSamplingRun(
+def _pipelined(trace=None) -> DistributedSamplingRun:
+    return DistributedSamplingRun(
         ALGORITHM,
         k=K,
         p=P,
@@ -91,7 +90,7 @@ def _pipelined(trace=None) -> "PipelinedSamplingRun":
 
 def _measure_untraced() -> dict:
     with _pipelined() as run:
-        metrics = run.run_rounds(ROUNDS)
+        metrics = run.run(ROUNDS)
         sample = np.sort(run.sample_ids())
     return {
         "rounds": metrics.num_rounds,
@@ -106,7 +105,7 @@ def _measure_untraced() -> dict:
 def _measure_traced(trace_path: Path) -> dict:
     collector = TraceCollector()
     with _pipelined(trace=collector) as run:
-        run.run_rounds(ROUNDS)
+        run.run(ROUNDS)
         sample = np.sort(run.sample_ids())
     trace = collector.chrome_trace()
     collector.export(trace_path)

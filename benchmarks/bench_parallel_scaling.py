@@ -47,7 +47,7 @@ import numpy as np
 from baseline_gate import compare_to_baseline, load_baseline, write_conservative_baseline
 from harness import write_bench_json
 
-from repro.runtime import ParallelStreamingRun
+from repro.core import DistributedSamplingRun
 
 #: default workload: "ours-8" keeps the selection recursion shallow (~2-3
 #: rounds), which minimises coordinator round trips per mini-batch; the
@@ -76,7 +76,7 @@ def run_backend(
 ) -> dict:
     """One measured configuration; returns throughput plus the sample ids."""
     start = time.perf_counter()
-    with ParallelStreamingRun(
+    with DistributedSamplingRun(
         ALGORITHM,
         k=K,
         p=p,
@@ -86,7 +86,7 @@ def run_backend(
         seed=seed,
         **comm_kwargs,
     ) as run:
-        metrics = run.run_rounds(rounds)
+        metrics = run.run(rounds)
         sample = np.sort(run.sample_ids())
     return {
         "comm": comm,

@@ -3,8 +3,9 @@
 Measures steady-state round throughput (items/s) at ``p=4`` worker
 processes for three schedules of the same workload:
 
-* **lock-step** — :class:`repro.runtime.ParallelStreamingRun` (insert and
-  selection serialised, the pre-pipeline baseline),
+* **lock-step** — :class:`repro.DistributedSamplingRun` with
+  ``pipeline="off"`` (insert and selection serialised, the pre-pipeline
+  baseline),
 * **strict pipeline** — next batch materialised in worker background
   threads during the selection; byte-identical samples,
 * **relaxed pipeline** — batch *and* key generation overlapped under a
@@ -48,8 +49,7 @@ import numpy as np
 from baseline_gate import compare_to_baseline, load_baseline, write_conservative_baseline
 from harness import write_bench_json
 
-from repro.pipeline import PipelinedSamplingRun
-from repro.runtime import ParallelStreamingRun
+from repro.core import DistributedSamplingRun
 
 ALGORITHM = "ours-8"
 K = 1_000
@@ -75,7 +75,7 @@ def usable_cpus() -> int:
 def _measure(make_run) -> dict:
     start = time.perf_counter()
     with make_run() as run:
-        metrics = run.run_rounds(ROUNDS)
+        metrics = run.run(ROUNDS)
         sample = np.sort(run.sample_ids())
     return {
         "rounds": metrics.num_rounds,
@@ -97,10 +97,10 @@ def run_suite() -> dict:
     )
     print(f"workload: {ALGORITHM}, k={K}, p={P}, batch={BATCH_SIZE}, rounds={ROUNDS}")
 
-    lockstep = _measure(lambda: ParallelStreamingRun(ALGORITHM, comm="process", **common))
+    lockstep = _measure(lambda: DistributedSamplingRun(ALGORITHM, comm="process", **common))
     print(f"  lock-step: {lockstep['items_per_s']:>12,.0f} items/s")
     strict = _measure(
-        lambda: PipelinedSamplingRun(ALGORITHM, comm="process", pipeline="strict", **common)
+        lambda: DistributedSamplingRun(ALGORITHM, comm="process", pipeline="strict", **common)
     )
     print(
         f"  strict:    {strict['items_per_s']:>12,.0f} items/s "
@@ -108,7 +108,7 @@ def run_suite() -> dict:
         f"efficiency {strict['overlap_efficiency']:.2f})"
     )
     relaxed = _measure(
-        lambda: PipelinedSamplingRun(ALGORITHM, comm="process", pipeline="relaxed", **common)
+        lambda: DistributedSamplingRun(ALGORITHM, comm="process", pipeline="relaxed", **common)
     )
     print(
         f"  relaxed:   {relaxed['items_per_s']:>12,.0f} items/s "

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Asynchronous double-buffered ingestion (the ``repro.pipeline`` subsystem).
 
-The lock-step drivers serialise every round's insert phase with its
-selection collectives; the pipelined driver overlaps them — while the
-coordinator finishes round *t*'s selection, the workers already prepare
-round *t+1*'s mini-batch.  This example demonstrates:
+Lock-step rounds serialise every round's insert phase with its selection
+collectives; ``DistributedSamplingRun(pipeline=...)`` overlaps them — while
+the coordinator finishes round *t*'s selection, the workers already
+prepare round *t+1*'s mini-batch.  This example demonstrates:
 
 1. **Strict mode is free correctness-wise** — byte-identical samples to
-   the lock-step :class:`repro.runtime.ParallelStreamingRun` for the same
-   seed, with the next batch materialised in the background.
+   lock-step rounds for the same seed, with the next batch materialised
+   in the background.
 2. **Relaxed mode** — key generation overlapped under a one-round-stale
    threshold, a bounded number of extra candidates reconciled at ingest
    (``stale_extra_candidates``), overlap efficiency reported per run.
@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import PipelinedSamplingRun
-from repro.runtime import ParallelStreamingRun
+from repro import DistributedSamplingRun
 
 K = 1_000
 P = 4
 BATCH = 32_768
 ROUNDS = 8
 SEED = 42
+#: rounds before measurement starts (the first threshold is set there)
+WARMUP = 1
 
 
 def strict_mode_is_byte_identical() -> None:
@@ -39,17 +40,18 @@ def strict_mode_is_byte_identical() -> None:
     print("1. Strict pipeline: overlap without changing a single sample byte")
     print("=" * 72)
 
-    with ParallelStreamingRun(
-        "ours-8", k=K, p=P, comm="process", batch_size=BATCH, seed=SEED
+    with DistributedSamplingRun(
+        "ours-8", k=K, p=P, comm="process", batch_size=BATCH, warmup_rounds=WARMUP, seed=SEED
     ) as lockstep:
-        lockstep.run_rounds(ROUNDS)
+        lockstep.run(ROUNDS)
         lockstep_ids = np.sort(lockstep.sample_ids())
         lockstep_throughput = lockstep.metrics.wall_throughput_total()
 
-    with PipelinedSamplingRun(
-        "ours-8", k=K, p=P, comm="process", pipeline="strict", batch_size=BATCH, seed=SEED
+    with DistributedSamplingRun(
+        "ours-8", k=K, p=P, comm="process", pipeline="strict", batch_size=BATCH,
+        warmup_rounds=WARMUP, seed=SEED,
     ) as strict:
-        metrics = strict.run_rounds(ROUNDS)
+        metrics = strict.run(ROUNDS)
         strict_ids = np.sort(strict.sample_ids())
 
     assert np.array_equal(lockstep_ids, strict_ids)
@@ -64,10 +66,11 @@ def relaxed_mode_trades_staleness_for_overlap() -> None:
     print("2. Relaxed pipeline: stale-threshold filtering, reconciled at ingest")
     print("=" * 72)
 
-    with PipelinedSamplingRun(
-        "ours-8", k=K, p=P, comm="process", pipeline="relaxed", batch_size=BATCH, seed=SEED
+    with DistributedSamplingRun(
+        "ours-8", k=K, p=P, comm="process", pipeline="relaxed", batch_size=BATCH,
+        warmup_rounds=WARMUP, seed=SEED,
     ) as relaxed:
-        metrics = relaxed.run_rounds(ROUNDS)
+        metrics = relaxed.run(ROUNDS)
         sample = relaxed.sample_ids()
 
     print(f"relaxed throughput:  {metrics.wall_throughput_total():>12,.0f} items/s")
@@ -85,12 +88,12 @@ def auto_batch_sizing() -> None:
     print("3. batch_size='auto': steer the round latency to a target")
     print("=" * 72)
 
-    with PipelinedSamplingRun(
+    with DistributedSamplingRun(
         "ours-8", k=K, p=P, comm="process", pipeline="relaxed",
-        batch_size="auto", target_round_time=0.01, seed=SEED,
+        batch_size="auto", target_round_time=0.01, warmup_rounds=WARMUP, seed=SEED,
     ) as run:
         for _ in range(10):
-            run.step()
+            run.run(1)
         print(f"final batch size:    {run.batch_size} (started at 4096)")
         print(f"size adjustments:    {run.autotuner.adjustments}")
         print(f"mean round latency:  "

@@ -9,9 +9,9 @@ minutes of reading:
 2. :class:`repro.DistributedSamplingRun` — the fully distributed mini-batch
    algorithm (paper Algorithm 1) executed on a simulated machine, including
    the communication-cost accounting that the paper's evaluation is about.
-3. :class:`repro.runtime.ParallelStreamingRun` — the same algorithm executed
-   on *real* worker processes (one per PE), reporting measured wall-clock
-   throughput.
+3. The same :class:`repro.DistributedSamplingRun` executed on *real* worker
+   processes (one per PE, each generating its own stream shard), reporting
+   measured wall-clock throughput.
 
 A longer walk-through lives in ``docs/quickstart.md``.  Run with::
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import DistributedSamplingRun, ReservoirSampler
-from repro.runtime import ParallelStreamingRun
 
 
 def sequential_quickstart() -> None:
@@ -87,7 +86,7 @@ def parallel_quickstart() -> None:
     print("3. Real multiprocess execution (p = 2 worker processes)")
     print("=" * 72)
 
-    with ParallelStreamingRun(
+    with DistributedSamplingRun(
         "ours-8",           # same algorithm as above ...
         k=1_000,
         p=2,                # ... but on 2 real worker processes
@@ -96,7 +95,7 @@ def parallel_quickstart() -> None:
         warmup_rounds=2,
         seed=3,
     ) as run:
-        metrics = run.run_rounds(5)
+        metrics = run.run(5)
         sample_size = len(run.sample_ids())
 
     print(f"rounds processed    : {metrics.num_rounds}")

@@ -51,8 +51,8 @@ from repro.obs import (
     Tracer,
     get_logger,
 )
-from repro.pipeline import BatchSizeAutotuner, PipelinedSamplingRun
-from repro.runtime import MachineSpec, RunMetrics, StreamingSimulation
+from repro.pipeline import BatchSizeAutotuner
+from repro.runtime import MachineSpec, RunMetrics
 from repro.selection import (
     AmsSelection,
     MultiPivotSelection,
@@ -91,7 +91,6 @@ __all__ = [
     "DecayedReservoir",
     "DistributedWindowSampler",
     # asynchronous double-buffered ingestion
-    "PipelinedSamplingRun",
     "BatchSizeAutotuner",
     # selection
     "SinglePivotSelection",
@@ -117,7 +116,6 @@ __all__ = [
     "CostParameters",
     "CostLedger",
     "MachineSpec",
-    "StreamingSimulation",
     "RunMetrics",
     # stream
     "ItemBatch",

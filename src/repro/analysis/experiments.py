@@ -30,12 +30,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.scaling import speedup_series, throughput_series
-from repro.core.api import make_distributed_sampler
+from repro.core.api import DistributedSamplingRun, make_distributed_sampler
 from repro.network.communicator import SimComm
 from repro.network.cost_model import CostParameters
 from repro.runtime.machine import MachineSpec
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.simulator import StreamingSimulation
 from repro.stream.generators import UniformWeightGenerator, WeightGenerator
 from repro.stream.minibatch import MiniBatchStream
 from repro.utils.rng import ensure_generator
@@ -333,8 +332,8 @@ def run_configuration(
         weights=weight_gen,
         seed=seed + 1,
     )
-    simulation = StreamingSimulation(sampler, stream, warmup_rounds=warmup_rounds)
-    return simulation.run_rounds(rounds)
+    run = DistributedSamplingRun(sampler, stream=stream, warmup_rounds=warmup_rounds)
+    return run.run(rounds)
 
 
 def run_weak_scaling(

@@ -16,11 +16,13 @@ Three entry points cover the common uses of the library:
 from __future__ import annotations
 
 import re
+import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core import pe_kernels
 from repro.core.centralized import CentralizedGatherSampler
 from repro.core.distributed import DistributedReservoirSampler
 from repro.core.sequential import SequentialUniformReservoir, SequentialWeightedReservoir
@@ -30,6 +32,7 @@ from repro.network.base import Communicator, make_communicator
 from repro.network.process_comm import WorkerError
 from repro.obs.collect import TraceCollector, resolve_trace
 from repro.obs.health import resolve_health
+from repro.obs.log import get_logger
 from repro.obs.serve import resolve_serve
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.machine import MachineSpec
@@ -40,7 +43,7 @@ from repro.selection.multi_pivot import MultiPivotSelection
 from repro.stream.items import ItemBatch
 from repro.stream.minibatch import MiniBatchStream
 from repro.stream.stamped import TimestampedMiniBatchStream
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive, check_positive_int
 from repro.window.decayed import DecayedReservoir
 from repro.window.distributed import DistributedWindowSampler
 from repro.window.sliding import SlidingWindowReservoir
@@ -50,6 +53,8 @@ __all__ = ["ReservoirSampler", "make_distributed_sampler", "DistributedSamplingR
 CommLike = Union[str, Communicator]
 
 _SIM_ALIASES = ("sim", "simulated", "simcomm")
+
+_logger = get_logger("core.api")
 
 
 def _pivot_selection_for(name: str) -> Optional[Union[SinglePivotSelection, MultiPivotSelection]]:
@@ -399,6 +404,12 @@ def make_distributed_sampler(
 class DistributedSamplingRun:
     """Run a distributed sampler over a mini-batch stream and collect metrics.
 
+    This is the library's one round driver: every mode below shares the
+    same round loop, so tracing, health monitoring, the metrics server,
+    checkpoints and worker-death recovery work the same way in each.
+    Every measured round adds its simulated time and its measured wall
+    time to :attr:`metrics`.
+
     Parameters
     ----------
     algorithm:
@@ -409,30 +420,49 @@ class DistributedSamplingRun:
     p:
         Number of PEs (ignored when a sampler object is passed).
     stream:
-        The mini-batch stream to consume; one is built from ``batch_size``
-        if not given.
+        A mini-batch stream the coordinator feeds to the PEs each round.
+        Without one, each PE generates its own share of the default
+        stream inside its worker (a worker-local stream shard, see
+        :mod:`repro.stream.shard`), which replicates a
+        :class:`~repro.stream.minibatch.MiniBatchStream` with the same
+        ``batch_size`` and ``seed`` exactly — so the sample is the same
+        either way, but on the process backend batch generation runs in
+        parallel in the workers.  The windowed sampler has no worker-side
+        lock-step round; without ``stream=`` and ``pipeline=`` it is fed a
+        coordinator-side
+        :class:`~repro.stream.stamped.TimestampedMiniBatchStream`.
+    batch_size:
+        Items per PE per round of the default stream, or ``"auto"`` to let
+        a :class:`~repro.pipeline.autotune.BatchSizeAutotuner` resize the
+        worker stream shards between rounds toward ``target_round_time``
+        seconds per round (requires worker shards: no ``stream=``, and
+        ``pipeline=`` for the windowed sampler).
+    target_round_time:
+        Latency target of ``batch_size="auto"`` (seconds per round).
+    warmup_rounds:
+        Rounds processed before measurement starts: they run (and are
+        checkpointed and recovered like any other round) on the first
+        :meth:`run` call that processes rounds, but are not recorded in
+        :attr:`metrics` — the paper's steady state, with few insertions
+        per batch, only establishes itself after the first batches.
     comm:
         Execution backend when ``algorithm`` is a name: ``"sim"`` (default,
         the cost simulator) or ``"process"`` (real multiprocess workers),
-        or an already constructed communicator.  For wall-clock
-        measurements of the process backend prefer
-        :class:`~repro.runtime.parallel.ParallelStreamingRun`, which also
-        generates the stream inside the workers.
+        or an already constructed communicator.
     window:
         When given, run the distributed *sliding-window* sampler over the
-        last ``window`` items; the default stream becomes a
-        :class:`~repro.stream.stamped.TimestampedMiniBatchStream` so every
-        item carries its global arrival index.
+        last ``window`` items; its streams are timestamped, so every item
+        carries its global arrival index.
     pipeline:
-        ``"off"`` (default) runs lock-step rounds over the coordinator
-        stream.  ``"strict"`` / ``"relaxed"`` switch to the asynchronous
-        double-buffered rounds of :mod:`repro.pipeline`: batches are
-        generated worker-locally (so ``stream=`` cannot be combined with
-        it) and the next round's preparation overlaps the current round's
-        selection — genuinely on the multiprocess backend, as a modeled
-        ``max(prepare, select)`` round cost on the simulator.  Both the
-        unbounded and the windowed samplers support it; the centralized
-        ``"gather"`` baseline does not.
+        ``"off"`` (default) runs lock-step rounds.  ``"strict"`` /
+        ``"relaxed"`` switch to the asynchronous double-buffered rounds of
+        :mod:`repro.pipeline` over worker stream shards (so ``stream=``
+        cannot be combined with it): the next round's preparation overlaps
+        the current round's selection — genuinely on the multiprocess
+        backend, as a modeled ``max(prepare, select)`` round cost on the
+        simulator.  ``"strict"`` is byte-identical to lock-step rounds.
+        Both the unbounded and the windowed samplers support it; the
+        centralized ``"gather"`` baseline does not.
     kernel_tier:
         Hot-loop implementation the PEs run (``"numpy"``, ``"jit"`` or
         ``"auto"``, see :mod:`repro.core.jit_kernels`).  The resolved tier
@@ -498,7 +528,9 @@ class DistributedSamplingRun:
         k: int = 1000,
         p: int = 4,
         stream: Optional[MiniBatchStream] = None,
-        batch_size: int = 1000,
+        batch_size: Union[int, str] = 1000,
+        target_round_time: Optional[float] = None,
+        warmup_rounds: int = 0,
         machine: Optional[MachineSpec] = None,
         weighted: bool = True,
         store: str = "merge",
@@ -519,8 +551,10 @@ class DistributedSamplingRun:
         **comm_kwargs,
     ) -> None:
         # imported lazily: repro.pipeline itself imports from repro.core
+        from repro.pipeline.autotune import BatchSizeAutotuner
         from repro.pipeline.engine import make_pipeline_engine, normalize_pipeline_mode
 
+        # validate everything that needs no sampler before spawning workers
         pipeline = normalize_pipeline_mode(pipeline)
         if checkpoint_every is not None and checkpoint_dir is None:
             raise ValueError("checkpoint_every= requires checkpoint_dir=")
@@ -529,17 +563,33 @@ class DistributedSamplingRun:
                 "pipeline= generates the stream inside the workers; a custom "
                 "stream= cannot be combined with it"
             )
+        self.autotuner, self.batch_size = BatchSizeAutotuner.from_arg(
+            batch_size, target_round_time
+        )
+        if self.autotuner is None and target_round_time is not None:
+            raise ValueError("target_round_time= requires batch_size='auto'")
+        self.warmup_rounds = check_positive_int(warmup_rounds, "warmup_rounds", allow_zero=True)
         self.machine = machine if machine is not None else MachineSpec.forhlr_like()
-        self._owns_comm = False
         self.window = window
         self.pipeline = pipeline
         self.engine = None
+        self.health = None
+        self.server = None
+        self._owns_comm = isinstance(algorithm, str) and not isinstance(comm, Communicator)
         if isinstance(algorithm, str):
-            self._owns_comm = not isinstance(comm, Communicator)
             # _resolve_comm passes a constructed communicator through and
             # rejects stray comm_kwargs alongside one
             comm = _resolve_comm(comm, p, self.machine, **comm_kwargs)
-            try:
+            self.algorithm = algorithm
+        elif comm_kwargs:
+            raise ValueError(
+                f"algorithm is an already constructed sampler; backend options "
+                f"{sorted(comm_kwargs)} must be passed to its communicator's constructor"
+            )
+        else:
+            self.algorithm = getattr(algorithm, "algorithm_name", type(algorithm).__name__)
+        try:
+            if isinstance(algorithm, str):
                 self.sampler = make_distributed_sampler(
                     algorithm,
                     k,
@@ -551,49 +601,56 @@ class DistributedSamplingRun:
                     window=window,
                     kernel_tier=kernel_tier,
                 )
-            except BaseException:
-                # don't leak the workers we just spawned on invalid arguments
-                if self._owns_comm:
-                    comm.shutdown()
-                raise
-            self.algorithm = algorithm
-        else:
-            if comm_kwargs:
-                raise ValueError(
-                    f"algorithm is an already constructed sampler; backend options "
-                    f"{sorted(comm_kwargs)} must be passed to its communicator's constructor"
-                )
-            self.sampler = algorithm
-            self.algorithm = getattr(algorithm, "algorithm_name", type(algorithm).__name__)
-        if pipeline != "off":
-            # worker-local shards replicate the default streams exactly;
-            # make_pipeline_engine rejects samplers that cannot pipeline
-            self.stream = None
-            try:
-                if stream_id_offset:
-                    self.sampler.attach_worker_stream(
-                        batch_size, seed=seed, id_offset=stream_id_offset
-                    )
-                else:
-                    self.sampler.attach_worker_stream(batch_size, seed=seed)
-                self.engine = make_pipeline_engine(self.sampler, pipeline)
-            except BaseException:
-                if self._owns_comm:
-                    self.sampler.comm.shutdown()
-                raise
-        elif stream is not None:
+            else:
+                self.sampler = algorithm
             self.stream = stream
-        elif window is not None:
-            # stamped stream so the window is defined in global arrival order
-            self.stream = TimestampedMiniBatchStream(self.sampler.p, batch_size, seed=seed)
-        else:
-            self.stream = MiniBatchStream(
-                self.sampler.p, batch_size, seed=seed, start_id=stream_id_offset
+            if stream is None and pipeline == "off" and isinstance(
+                self.sampler, DistributedWindowSampler
+            ):
+                # stamped stream so the window is defined in global arrival order
+                self.stream = TimestampedMiniBatchStream(self.sampler.p, self.batch_size, seed=seed)
+            elif stream is None:
+                # worker-local shards replicate the default streams exactly
+                self.sampler.attach_worker_stream(
+                    self.batch_size,
+                    seed=seed,
+                    variable=self.autotuner is not None,
+                    **({"id_offset": stream_id_offset} if stream_id_offset else {}),
+                )
+            if self.stream is not None and self.autotuner is not None:
+                raise ValueError(
+                    "batch_size='auto' resizes the worker stream shards; it cannot drive a "
+                    "coordinator-fed stream (a custom stream= or a lock-step windowed run)"
+                )
+            if self.stream is not None and self.stream.p != self.sampler.p:
+                raise ValueError(
+                    f"stream has {self.stream.p} PEs but the sampler has {self.sampler.p}"
+                )
+            if pipeline != "off":
+                # make_pipeline_engine rejects samplers that cannot pipeline
+                self.engine = make_pipeline_engine(self.sampler, pipeline)
+            # ---- tracing, live health monitoring + HTTP exporter ------
+            # the monitor shares the trace collector's registry when both
+            # are on, so one /metrics scrape sees the whole run
+            self.trace = resolve_trace(trace)
+            if self.trace is not None:
+                self.trace.attach(self.comm, self.sampler._handle)
+            shared_registry = self.trace.registry if self.trace is not None else None
+            self.health = resolve_health(health, on_stall=on_stall, registry=shared_registry)
+            if self.health is not None:
+                self.health.attach(self.comm, self.sampler._handle)
+                if shared_registry is None:
+                    shared_registry = self.health.registry
+            self.server = resolve_serve(
+                serve_metrics, registry=shared_registry, monitor=self.health
             )
-        if self.stream is not None and self.stream.p != self.sampler.p:
-            raise ValueError(
-                f"stream has {self.stream.p} PEs but the sampler has {self.sampler.p}"
-            )
+        except BaseException:
+            # don't leak the workers we just spawned on invalid arguments
+            if self.health is not None:
+                self.health.finish()
+            if self._owns_comm:
+                comm.shutdown()
+            raise
         self.metrics = RunMetrics(
             p=self.sampler.p,
             k=getattr(self.sampler, "k", k),
@@ -602,37 +659,6 @@ class DistributedSamplingRun:
             comm_backend=getattr(self.sampler.comm, "kind", ""),
             kernel_tier=str(getattr(self.sampler, "kernel_tier", "")),
         )
-        # ---- tracing --------------------------------------------------
-        self.trace = resolve_trace(trace)
-        if self.trace is not None:
-            try:
-                self.trace.attach(self.comm, self.sampler._handle)
-            except BaseException:
-                if self._owns_comm:
-                    self.comm.shutdown()
-                raise
-        # ---- live health monitoring + HTTP exporter -------------------
-        # the monitor shares the trace collector's registry when both are
-        # on, so one /metrics scrape sees the whole run
-        shared_registry = self.trace.registry if self.trace is not None else None
-        self.health = resolve_health(health, on_stall=on_stall, registry=shared_registry)
-        self.server = None
-        try:
-            if self.health is not None:
-                self.health.attach(self.comm, self.sampler._handle)
-            self.server = resolve_serve(
-                serve_metrics,
-                registry=shared_registry
-                if shared_registry is not None
-                else (self.health.registry if self.health is not None else None),
-                monitor=self.health,
-            )
-        except BaseException:
-            if self.health is not None:
-                self.health.finish()
-            if self._owns_comm:
-                self.comm.shutdown()
-            raise
         # ---- fault tolerance / checkpointing --------------------------
         # the config travels inside every checkpoint so resume() can
         # rebuild an equivalent run without the caller repeating arguments
@@ -641,6 +667,8 @@ class DistributedSamplingRun:
             "k": getattr(self.sampler, "k", k),
             "p": self.sampler.p,
             "batch_size": batch_size,
+            "target_round_time": target_round_time,
+            "warmup_rounds": self.warmup_rounds,
             "weighted": weighted,
             "store": store,
             "seed": seed,
@@ -677,17 +705,21 @@ class DistributedSamplingRun:
 
     @property
     def rounds_completed(self) -> int:
-        """Rounds successfully processed (checkpoint numbering unit)."""
+        """Rounds successfully processed, warm-up included (checkpoint numbering unit)."""
         return self._rounds_completed
 
     def _step_once(self):
         if self.engine is not None:
             return self.engine.step()
-        round_batches = self.stream.next_round()
-        return self.sampler.process_round(round_batches.batches)
+        if self.stream is None:
+            return self.sampler.process_stream_round()
+        return self.sampler.process_round(self.stream.next_round().batches)
 
     def run(self, rounds: int) -> RunMetrics:
-        """Process ``rounds`` mini-batch rounds and return the run metrics.
+        """Process ``rounds`` measured mini-batch rounds and return the run metrics.
+
+        The first call that processes rounds runs the ``warmup_rounds``
+        first.
 
         With ``checkpoint_dir`` set and a communicator that supports
         :meth:`~repro.network.process_comm.ProcessComm.recover`, a round
@@ -701,15 +733,20 @@ class DistributedSamplingRun:
         :attr:`~repro.runtime.metrics.RoundMetrics.recovered_pes`.
         """
         target = self._rounds_completed + check_positive_int(rounds, "rounds", allow_zero=True)
+        if rounds:
+            target += max(self.warmup_rounds - self._rounds_completed, 0)
         try:
             while self._rounds_completed < target:
+                index = self._rounds_completed
                 if self.health is not None:
-                    self.health.arm(self._rounds_completed)
+                    self.health.arm(index)
                 try:
                     # comm.tracer is the collector's tracer when tracing is
                     # attached, the shared NullTracer otherwise
-                    with self.comm.tracer.span("round", cat="round", round=self._rounds_completed):
+                    start = time.perf_counter()
+                    with self.comm.tracer.span("round", cat="round", round=index):
                         round_metrics = self._step_once()
+                    elapsed = time.perf_counter() - start
                 except WorkerError:
                     if self.health is not None:
                         # keep the watchdog out of the recovery window: a
@@ -727,13 +764,9 @@ class DistributedSamplingRun:
                         raise
                     self._recover_and_restore()
                     continue
-                if self._pending_recovered:
-                    round_metrics.recovered_pes = list(self._pending_recovered)
-                    self._pending_recovered = []
-                self.metrics.add_round(round_metrics)
                 self._rounds_completed += 1
-                if self.trace is not None:
-                    self.trace.record_round(round_metrics)
+                if index >= self.warmup_rounds:
+                    self._record(round_metrics, elapsed)
                 if self._ckpt is not None and self._ckpt.should_checkpoint(self._rounds_completed):
                     self.save_checkpoint()
         finally:
@@ -741,6 +774,59 @@ class DistributedSamplingRun:
                 self.health.disarm()
                 self.metrics.stalls = self.health.stalls_detected
                 self.metrics.stragglers_detected = self.health.stragglers_detected
+        return self.metrics
+
+    def _record(self, round_metrics, elapsed: float) -> None:
+        """Add one measured round to the metrics, the trace and the autotuner."""
+        if self._pending_recovered:
+            round_metrics.recovered_pes = list(self._pending_recovered)
+            self._pending_recovered = []
+        self.metrics.add_round(round_metrics)
+        self.metrics.wall_time += elapsed
+        if self.trace is not None:
+            self.trace.record_round(round_metrics, wall_time=elapsed)
+        if self.autotuner is None:
+            return
+        resized = self.autotuner.update(elapsed)
+        if resized is None:
+            return
+        _logger.debug(
+            "autotuner resized batch %d -> %d (round took %.4fs)",
+            self.batch_size,
+            resized,
+            elapsed,
+        )
+        if self.trace is not None:
+            self.trace.on_autotune(self.batch_size, resized)
+        self.batch_size = resized
+        if self.engine is not None:
+            # deferred: the shards must not change under an in-flight prepare
+            self.engine.request_batch_size(resized)
+        else:
+            self.comm.run_per_pe(
+                self.sampler._handle, pe_kernels.set_batch_size_kernel, [(resized,)] * self.sampler.p
+            )
+
+    def run_for(
+        self, seconds: float, *, min_rounds: int = 1, max_rounds: int = 10_000
+    ) -> RunMetrics:
+        """Process measured rounds until the run's clock reaches ``seconds``.
+
+        Mirrors the paper's fixed-duration runs (30 s per configuration):
+        faster configurations complete more mini-batches.  The clock is
+        the backend's: accumulated simulated time on ``"sim"``, measured
+        wall time otherwise.  At least ``min_rounds`` and at most
+        ``max_rounds`` rounds are processed by this call.
+        """
+        check_positive(seconds, "seconds")
+        check_positive_int(max_rounds, "max_rounds")
+        clock = "simulated_time" if self.comm.kind == "sim" else "wall_time"
+        done = 0
+        while done < max_rounds and (
+            done < min_rounds or getattr(self.metrics, clock) < seconds
+        ):
+            self.run(1)
+            done += 1
         return self.metrics
 
     # ------------------------------------------------------------------
@@ -856,6 +942,8 @@ class DistributedSamplingRun:
             k=config["k"],
             p=config["p"],
             batch_size=config["batch_size"],
+            target_round_time=config.get("target_round_time"),
+            warmup_rounds=config.get("warmup_rounds", 0),
             machine=config.get("machine"),
             weighted=config["weighted"],
             store=config["store"],
@@ -908,6 +996,8 @@ class DistributedSamplingRun:
             k=config["k"],
             p=new_p,
             batch_size=config["batch_size"],
+            target_round_time=config.get("target_round_time"),
+            warmup_rounds=config.get("warmup_rounds", 0),
             machine=config.get("machine"),
             weighted=config["weighted"],
             store=config["store"],

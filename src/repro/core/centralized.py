@@ -152,18 +152,14 @@ class CentralizedGatherSampler:
         batch_size: int,
         *,
         seed: Optional[int] = 0,
-        weights=None,
         variable: bool = False,
-        stamped: bool = False,
     ) -> None:
         """Install a worker-local stream shard on every PE.
 
         See
         :meth:`repro.core.distributed.DistributedReservoirSampler.attach_worker_stream`.
         """
-        specs = make_shard_specs(
-            self.p, batch_size, seed=seed, weights=weights, variable=variable, stamped=stamped
-        )
+        specs = make_shard_specs(self.p, batch_size, seed=seed, variable=variable)
         self.comm.run_per_pe(
             self._handle, pe_kernels.install_stream_kernel, [(spec,) for spec in specs]
         )

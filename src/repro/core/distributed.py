@@ -407,9 +407,7 @@ class DistributedReservoirSampler:
         batch_size: int,
         *,
         seed: Optional[int] = 0,
-        weights=None,
         variable: bool = False,
-        stamped: bool = False,
         id_offset: int = 0,
     ) -> None:
         """Install a worker-local stream shard on every PE.
@@ -421,19 +419,15 @@ class DistributedReservoirSampler:
         :class:`~repro.stream.minibatch.MiniBatchStream` exactly.
 
         ``variable=True`` allows the shards to be resized between rounds
-        (adaptive mini-batch sizing; switches to interleaved item ids) and
-        ``stamped=True`` makes them emit timestamped batches — both are
-        used by the pipelined drivers of :mod:`repro.pipeline`.
-        ``id_offset`` shifts every emitted id (elastic re-sharding starts
+        (adaptive mini-batch sizing, ``batch_size="auto"``; switches to
+        interleaved item ids).  ``id_offset`` shifts every emitted id (elastic re-sharding starts
         a resharded stream past the ids the old shard layout emitted).
         """
         specs = make_shard_specs(
             self.p,
             batch_size,
             seed=seed,
-            weights=weights,
             variable=variable,
-            stamped=stamped,
             id_offset=id_offset,
         )
         self.comm.run_per_pe(
@@ -471,8 +465,8 @@ class DistributedReservoirSampler:
 
         Requires :meth:`attach_worker_stream`.  Under the multiprocess
         backend both the batch generation and the ingestion run in
-        parallel in the workers; this is the hot path of
-        :class:`~repro.runtime.parallel.ParallelStreamingRun`.
+        parallel in the workers; this is the hot path of a
+        :class:`~repro.core.api.DistributedSamplingRun` built without ``stream=``.
         """
         if not self._has_worker_stream:
             raise RuntimeError("no worker stream attached; call attach_worker_stream() first")

@@ -99,6 +99,7 @@ from repro.obs.health import (
     drain_beat_messages,
     register_worker_beat_queue,
     set_worker_beat_epoch,
+    worker_beats_sent,
     worker_wait_beat,
 )
 from repro.obs.log import (
@@ -560,6 +561,11 @@ def _worker_main(
     states: Dict[int, object] = {}
     async_jobs: Dict[int, Tuple[threading.Thread, dict]] = {}
     fault_calls = 0
+
+    def _ok(payload) -> tuple:
+        # every reply echoes the beat count, see HealthMonitor.status()
+        return ("ok", payload, worker_beats_sent())
+
     while True:
         try:
             # poll in slices so a rank idling between commands (its reply
@@ -592,10 +598,10 @@ def _worker_main(
             if kind == "init_state":
                 _, group, factory, args = msg
                 states[group] = factory(rank, *codec.decode(args))
-                conn.send(("ok", None))
+                conn.send(_ok(None))
             elif kind == "run":
                 _, group, fn, args = msg
-                conn.send(("ok", codec.encode(fn(states[group], *codec.decode(args)))))
+                conn.send(_ok(codec.encode(fn(states[group], *codec.decode(args)))))
             elif kind == "run_async":
                 # Execute the kernel in a background thread so this loop can
                 # keep serving collectives and other kernels against the
@@ -618,7 +624,7 @@ def _worker_main(
                 )
                 thread.start()
                 async_jobs[tag] = (thread, box)
-                conn.send(("ok", None))
+                conn.send(_ok(None))
             elif kind == "join_async":
                 _, tag = msg
                 thread, box = async_jobs.pop(tag)
@@ -626,7 +632,7 @@ def _worker_main(
                 reply = box.get("reply", ("err", "RuntimeError('async kernel vanished')", ""))
                 if reply[0] == "ok":
                     # encode on the main thread: the ring is not thread-safe
-                    reply = ("ok", codec.encode(reply[1]))
+                    reply = _ok(codec.encode(reply[1]))
                 conn.send(reply)
             elif kind == "coll":
                 _, seq, op_name, payload, extra = msg
@@ -650,7 +656,7 @@ def _worker_main(
                     result = net.p2p(seq, extra["src"], extra["dst"], payload)
                 else:
                     raise ValueError(f"unknown collective {op_name!r}")
-                conn.send(("ok", codec.encode(result)))
+                conn.send(_ok(codec.encode(result)))
             elif kind == "flush":
                 # Recovery resync: join-and-drop outstanding async kernels
                 # (they are local-only, so the join is bounded), adopt the
@@ -665,11 +671,11 @@ def _worker_main(
                 set_worker_log_epoch(new_epoch)
                 set_worker_beat_epoch(new_epoch)
                 tracer.instant("epoch_bump", cat="fault", epoch=int(new_epoch))
-                conn.send(("ok", None))
+                conn.send(_ok(None))
             elif kind == "logs":
                 # forward buffered log records over the command pipe; they
                 # are plain tuples, no payload codec needed
-                conn.send(("ok", drain_worker_log_records()))
+                conn.send(_ok(drain_worker_log_records()))
             else:
                 conn.send(("err", f"ValueError('unknown command {kind!r}')", ""))
         except BaseException as exc:  # propagate everything to the coordinator
@@ -806,6 +812,12 @@ class ProcessComm(Communicator):
         # at spawn; drained by an attached HealthMonitor (or recover/
         # shutdown, for the eagerly-forwarded log records it also carries)
         self._beat_queue = self._ctx.Queue()
+        # per rank: beats the last reply announced, beats drained so far,
+        # and the epoch its current incarnation was spawned at
+        self._beats_announced = [0] * p
+        self._beats_drained = [0] * p
+        self._beat_spawn_epoch = [0] * p
+        self._beat_drain_lock = threading.Lock()
         self._conns: List[object] = [None] * p
         self._procs: List[object] = [None] * p
         for rank in range(p):
@@ -846,6 +858,8 @@ class ProcessComm(Communicator):
         )
         proc.start()
         child_conn.close()
+        self._beats_announced[rank] = self._beats_drained[rank] = 0
+        self._beat_spawn_epoch[rank] = self._epoch
         self._conns[rank] = parent_conn
         self._procs[rank] = proc
 
@@ -937,6 +951,7 @@ class ProcessComm(Communicator):
                         continue
                     if reply[0] == "ok":
                         results[rank] = self._codec.decode(reply[1])
+                        self._beats_announced[rank] = reply[2]
                         pending.discard(rank)
                     else:
                         _fail(rank, str(reply[1]), reply[2])
@@ -1303,8 +1318,17 @@ class ProcessComm(Communicator):
             total += len(records)
         return total
 
-    def drain_beats(self, *, replay_logs: bool = True) -> List[tuple]:
-        """Drain the heartbeat queue (non-blocking).
+    def _beats_in_flight(self) -> bool:
+        # a dead rank's unsent beats died with it: never wait for those
+        return any(
+            drained < announced and proc.is_alive()
+            for drained, announced, proc in zip(
+                self._beats_drained, self._beats_announced, self._procs
+            )
+        )
+
+    def drain_beats(self, *, replay_logs: bool = True, settle: float = 0.0) -> List[tuple]:
+        """Drain the heartbeat queue.
 
         The queue carries ``("beat", ...)`` progress tuples and eagerly
         forwarded ``("log", record)`` tuples.  With ``replay_logs=True``
@@ -1312,13 +1336,27 @@ class ProcessComm(Communicator):
         coordinator's loggers here and only the beats are returned; the
         health monitor drains with ``replay_logs=False`` and handles
         both kinds itself.
+
+        Beats travel apart from the command replies, so a reply can land
+        before the beats its kernel sent.  Every reply announces how many
+        beats its rank has sent; with ``settle > 0`` the drain waits up to
+        ``settle`` seconds until every announced beat has arrived.
         """
         messages: List[tuple] = []
-        while True:
-            try:
-                messages.append(self._beat_queue.get_nowait())
-            except (queue_module.Empty, OSError, ValueError):
-                break
+        deadline = time.monotonic() + settle
+        with self._beat_drain_lock:
+            while True:
+                wait = deadline - time.monotonic() if self._beats_in_flight() else 0.0
+                try:
+                    if wait > 0.0:
+                        message = self._beat_queue.get(timeout=wait)
+                    else:
+                        message = self._beat_queue.get_nowait()
+                except (queue_module.Empty, OSError, ValueError):
+                    break
+                if message[0] == "beat" and message[2] >= self._beat_spawn_epoch[message[1]]:
+                    self._beats_drained[message[1]] += 1
+                messages.append(message)
         if replay_logs:
             return drain_beat_messages(messages)
         return messages

@@ -59,6 +59,7 @@ __all__ = [
     "register_worker_beat_queue",
     "set_worker_beat_epoch",
     "worker_beat_queue_registered",
+    "worker_beats_sent",
     "worker_wait_beat",
     "create_local_sink",
     "drain_local_sink",
@@ -68,6 +69,10 @@ __all__ = [
 ]
 
 _logger = get_logger("obs.health")
+
+#: longest :meth:`HealthMonitor.status` / :meth:`~HealthMonitor.finish`
+#: wait for beats that a rank's last command reply announced
+_BEAT_SETTLE_TIMEOUT = 2.0
 
 #: live rank classifications, healthiest first
 RANK_STATES = ("ok", "straggler", "stalled", "dead")
@@ -105,8 +110,11 @@ class Heartbeat:
 # ---------------------------------------------------------------------------
 # beat transport: worker-global queue (process backend) and local sinks (sim)
 # ---------------------------------------------------------------------------
-#: (send_fn, rank, epoch) registered once per worker process at spawn
+#: (queue, rank, epoch, beats put) registered once per worker process at spawn
 _WORKER_BEATS: Optional[list] = None
+#: serialises beat puts from a worker's main and async-kernel threads, so
+#: the count echoed in command replies never runs ahead of the queue
+_WORKER_BEATS_LOCK = threading.Lock()
 
 #: coordinator-local sinks keyed by monitor token (simulated backend)
 _LOCAL_SINKS: Dict[int, deque] = {}
@@ -123,7 +131,7 @@ def register_worker_beat_queue(queue, rank: int, epoch: int = 0) -> None:
     next drain.
     """
     global _WORKER_BEATS
-    _WORKER_BEATS = [queue, int(rank), int(epoch)]
+    _WORKER_BEATS = [queue, int(rank), int(epoch), 0]
 
     def _eager(record) -> None:
         queue.put(("log", record))
@@ -145,10 +153,23 @@ def set_worker_beat_epoch(epoch: int) -> None:
 
 def _worker_send(message: tuple) -> None:
     if _WORKER_BEATS is not None:
-        try:
-            _WORKER_BEATS[0].put(message)
-        except (OSError, ValueError):  # pragma: no cover - queue torn down
-            pass
+        with _WORKER_BEATS_LOCK:
+            try:
+                _WORKER_BEATS[0].put(message)
+            except (OSError, ValueError):  # pragma: no cover - queue torn down
+                return
+            _WORKER_BEATS[3] += 1
+
+
+def worker_beats_sent() -> int:
+    """Beats this worker process has put on its queue so far.
+
+    Every command reply echoes this count, so the coordinator knows how
+    many of this rank's beats must be drained before its view of the rank
+    is current: the queue's feeder thread and the command pipe are not
+    ordered against each other.
+    """
+    return _WORKER_BEATS[3] if _WORKER_BEATS is not None else 0
 
 
 def _worker_epoch() -> int:
@@ -403,6 +424,9 @@ class HealthMonitor:
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._lock = threading.RLock()
+        # one drain at a time: a drain that pulled beats off the queue
+        # must apply them before another drain may report the view current
+        self._drain_lock = threading.Lock()
         self._armed = False
         self._round = 0
         self._epoch = 0
@@ -512,28 +536,34 @@ class HealthMonitor:
                 )
             except Exception:  # workers may already be shut down
                 pass
-            self._drain_once()
+            self._drain_once(settle=_BEAT_SETTLE_TIMEOUT)
         if self._token is not None:
             close_local_sink(self._token)
             self._token = None
 
     # -- beat intake -----------------------------------------------------
-    def _drain_once(self) -> int:
-        """Pull pending beats from both transports and apply them."""
-        messages: List[tuple] = []
-        if self._token is not None:
-            messages.extend(drain_local_sink(self._token))
-        comm = self._comm
-        if comm is not None and hasattr(comm, "drain_beats"):
-            try:
-                messages.extend(comm.drain_beats(replay_logs=False))
-            except Exception:  # pragma: no cover - comm torn down mid-drain
-                pass
-        beats = drain_beat_messages(messages)
-        now = time.monotonic()
-        with self._lock:
-            for raw in beats:
-                self._apply(raw, now)
+    def _drain_once(self, settle: float = 0.0) -> int:
+        """Pull pending beats from both transports and apply them.
+
+        ``settle > 0`` also waits (up to that many seconds) for the beats
+        the ranks' last command replies announced but that are still in
+        flight on the process backend's queue.
+        """
+        with self._drain_lock:
+            messages: List[tuple] = []
+            if self._token is not None:
+                messages.extend(drain_local_sink(self._token))
+            comm = self._comm
+            if comm is not None and hasattr(comm, "drain_beats"):
+                try:
+                    messages.extend(comm.drain_beats(replay_logs=False, settle=settle))
+                except Exception:  # pragma: no cover - comm torn down mid-drain
+                    pass
+            beats = drain_beat_messages(messages)
+            now = time.monotonic()
+            with self._lock:
+                for raw in beats:
+                    self._apply(raw, now)
         return len(beats)
 
     def _apply(self, raw: tuple, now: float) -> None:
@@ -772,7 +802,12 @@ class HealthMonitor:
             ).set(skew)
 
     def status(self) -> dict:
-        """JSON-safe live view served by ``GET /health``."""
+        """JSON-safe live view served by ``GET /health``.
+
+        Drains first, up to every beat the ranks' completed commands
+        announced, so the view covers all work that has returned.
+        """
+        self._drain_once(settle=_BEAT_SETTLE_TIMEOUT)
         now = time.monotonic()
         with self._lock:
             ranks = {}

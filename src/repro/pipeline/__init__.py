@@ -7,16 +7,12 @@ prepare round *t+1*'s mini-batch — in worker background threads on the
 real multiprocess backend, as a modeled ``max(prepare, select)`` round
 cost on the simulator.
 
-* :class:`~repro.pipeline.run.PipelinedSamplingRun` — the wall-clock
-  driver (mirrors :class:`~repro.runtime.parallel.ParallelStreamingRun`),
-  with ``pipeline="strict"`` (byte-identical to lock-step) or
-  ``pipeline="relaxed"`` (stale-by-one-round threshold, superset of
-  candidates, reconciliation prune).
 * :class:`~repro.pipeline.engine.UnboundedPipelineEngine` /
   :class:`~repro.pipeline.engine.WindowPipelineEngine` — the round
-  engines, also driven by
-  :class:`~repro.core.api.DistributedSamplingRun` via its ``pipeline=``
-  argument.
+  engines, driven by :class:`~repro.core.api.DistributedSamplingRun` via
+  its ``pipeline=`` argument: ``"strict"`` (byte-identical to lock-step)
+  or ``"relaxed"`` (stale-by-one-round threshold, superset of candidates,
+  reconciliation prune).
 * :class:`~repro.pipeline.autotune.BatchSizeAutotuner` — adaptive
   mini-batch sizing behind ``batch_size="auto"``.
 """
@@ -29,10 +25,8 @@ from repro.pipeline.engine import (
     make_pipeline_engine,
     normalize_pipeline_mode,
 )
-from repro.pipeline.run import PipelinedSamplingRun
 
 __all__ = [
-    "PipelinedSamplingRun",
     "BatchSizeAutotuner",
     "UnboundedPipelineEngine",
     "WindowPipelineEngine",

@@ -17,7 +17,7 @@ The engines here implement that trade in three flavours:
   selection executes; key generation stays synchronous under the fresh
   threshold and consumes the main per-PE RNG in exactly the lock-step
   order.  Strict runs are therefore **byte-identical** to
-  :class:`~repro.runtime.parallel.ParallelStreamingRun` for the same seed
+  lock-step :class:`~repro.core.api.DistributedSamplingRun` rounds for the same seed
   (enforced by ``tests/pipeline/``).
 * ``mode="relaxed"`` — the whole prepare (batch + exponential-jump key
   generation) runs ahead under the threshold of the *previous* round.

@@ -1,4 +1,4 @@
-"""Simulation runtime: machine model, per-phase metrics, and the driver.
+"""Simulation runtime: machine model, clock and per-phase metrics.
 
 The paper evaluates its algorithms on a real supercomputer; this
 reproduction executes the same algorithms inside one process and derives
@@ -10,23 +10,17 @@ reproduction executes the same algorithms inside one process and derives
 * the per-phase operation counts produced by the samplers plus the
   communication ledger filled in by the simulated communicator.
 
-:class:`~repro.runtime.simulator.StreamingSimulation` drives a sampler over
-a mini-batch stream for a number of rounds and aggregates
+:class:`~repro.core.api.DistributedSamplingRun` drives a sampler over a
+mini-batch stream and aggregates
 :class:`~repro.runtime.metrics.RoundMetrics` into a
 :class:`~repro.runtime.metrics.RunMetrics` record, from which the scaling
-benchmarks read speedups, throughput and the running-time composition.
-
-:class:`~repro.runtime.parallel.ParallelStreamingRun` is its wall-clock
-counterpart for the *real* multiprocess execution backend: the same round
-loop, but the stream is generated inside the worker processes and the
-metrics carry measured time.
+benchmarks read speedups, throughput and the running-time composition —
+simulated time on the cost simulator, measured wall time on every backend.
 """
 
 from repro.runtime.clock import PhaseClock
 from repro.runtime.machine import MachineSpec
 from repro.runtime.metrics import PhaseTimes, RoundMetrics, RunMetrics
-from repro.runtime.parallel import ParallelStreamingRun
-from repro.runtime.simulator import StreamingSimulation
 
 __all__ = [
     "MachineSpec",
@@ -34,6 +28,4 @@ __all__ = [
     "PhaseTimes",
     "RoundMetrics",
     "RunMetrics",
-    "StreamingSimulation",
-    "ParallelStreamingRun",
 ]

@@ -1,9 +1,9 @@
 """Per-round and per-run metrics of a sampling execution.
 
 Runs under the simulated backend report *simulated* time derived from the
-machine model; runs under the real multiprocess backend additionally carry
-*measured wall-clock* time (:attr:`RunMetrics.wall_time`, filled in by
-:class:`~repro.runtime.parallel.ParallelStreamingRun`) from which measured
+machine model; every run driven by
+:class:`~repro.core.api.DistributedSamplingRun` also carries *measured
+wall-clock* time (:attr:`RunMetrics.wall_time`), from which measured
 throughput and speedup are derived.
 
 The phase names follow Figure 6 of the paper:

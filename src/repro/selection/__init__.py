@@ -31,9 +31,7 @@ Class                           Paper reference
 
 All algorithms speak to the data only through :class:`DistributedKeySet`
 and communicate only through the communicator, so their communication
-cost is fully accounted.  :func:`recompute_window_threshold` is a
-deprecated thin wrapper kept for backwards compatibility; the window
-sampler issues one ``threshold_update`` engine call instead.
+cost is fully accounted.
 """
 
 from repro.selection.ams_select import AmsSelection
@@ -52,7 +50,6 @@ from repro.selection.pivot_select import PivotSelection
 from repro.selection.quickselect import nth_smallest_numpy, quickselect_nth, smallest_k
 from repro.selection.sampled_select import SampledSelection
 from repro.selection.unsorted_select import UnsortedSelection
-from repro.selection.windowed import recompute_window_threshold
 
 __all__ = [
     "DistributedKeySet",
@@ -72,5 +69,4 @@ __all__ = [
     "quickselect_nth",
     "nth_smallest_numpy",
     "smallest_k",
-    "recompute_window_threshold",
 ]

@@ -107,7 +107,6 @@ def make_shard_specs(
     batch_size: int,
     *,
     seed: Optional[int] = 0,
-    weights: Optional[WeightGenerator] = None,
     variable: bool = False,
     stamped: bool = False,
     id_offset: int = 0,
@@ -127,7 +126,6 @@ def make_shard_specs(
             variable=variable,
             stamped=stamped,
             id_offset=id_offset,
-            **({"weights": weights} if weights is not None else {}),
         )
         for pe in range(p)
     ]

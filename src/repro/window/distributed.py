@@ -18,9 +18,9 @@ ways:
    buffer stays at ``O(k log W)`` expected items.
 2. **The threshold is recomputed every round.**  After each PE evicts its
    expired candidates (one vectorized mask over the stamp array), the
-   distributed selection re-runs over the surviving keysets
-   (:func:`repro.selection.windowed.recompute_window_threshold`) to
-   re-establish the key with global rank ``k``.  That key is the *sample
+   distributed selection re-runs over the surviving keysets (one
+   :meth:`~repro.selection.engine.OrderStatisticsEngine.threshold_update`
+   call) to re-establish the key with global rank ``k``.  That key is the *sample
    boundary* used to extract ``sample_ids()`` — the buffers are **not**
    pruned against it.
 
@@ -182,12 +182,11 @@ class DistributedWindowSampler:
         batch_size: int,
         *,
         seed: Optional[int] = 0,
-        weights=None,
         variable: bool = False,
     ) -> None:
         """Install a worker-local *stamped* stream shard on every PE.
 
-        Used by the pipelined drivers (:mod:`repro.pipeline`): each PE
+        Used by pipelined runs (:mod:`repro.pipeline`): each PE
         generates its own timestamped batches, replicating a
         constant-batch-size
         :class:`~repro.stream.stamped.TimestampedMiniBatchStream` exactly
@@ -195,9 +194,7 @@ class DistributedWindowSampler:
         """
         from repro.stream.shard import make_shard_specs
 
-        specs = make_shard_specs(
-            self.p, batch_size, seed=seed, weights=weights, variable=variable, stamped=True
-        )
+        specs = make_shard_specs(self.p, batch_size, seed=seed, variable=variable, stamped=True)
         self.comm.run_per_pe(
             self._handle, pe_kernels.install_stream_kernel, [(spec,) for spec in specs]
         )

@@ -131,6 +131,81 @@ class TestDistributedSamplingRun:
         assert all(isinstance(item_id, int) and key > 0 for item_id, key in items)
 
 
+class TestStreamSourceDerivation:
+    """Without ``stream=`` each PE generates its share of the default stream
+    in its worker; with one, the coordinator feeds it.  Same sample."""
+
+    @pytest.mark.parametrize("comm", ["sim", "process"])
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("algorithm", ["ours", "ours-8", "ours-variable", "gather"])
+    def test_worker_shards_equal_coordinator_stream(self, algorithm, weighted, comm):
+        kwargs = dict(k=25, p=3, batch_size=120, seed=7, weighted=weighted, comm=comm)
+        with DistributedSamplingRun(algorithm, **kwargs) as shards:
+            shards.run(5)
+            shard_ids = shards.sample_ids()
+            shard_metrics = shards.metrics
+        stream = MiniBatchStream(3, 120, seed=7)
+        with DistributedSamplingRun(algorithm, stream=stream, **kwargs) as fed:
+            fed.run(5)
+            fed_ids = fed.sample_ids()
+            fed_metrics = fed.metrics
+        assert shards.stream is None and fed.stream is stream
+        assert shard_ids.tobytes() == fed_ids.tobytes()
+        if comm == "sim":
+            assert shard_metrics.simulated_time == fed_metrics.simulated_time
+
+    def test_windowed_lockstep_keeps_a_coordinator_stream(self):
+        from repro.stream import TimestampedMiniBatchStream
+
+        with DistributedSamplingRun("ours", k=10, p=2, batch_size=50, window=400) as run:
+            run.run(3)
+            assert isinstance(run.stream, TimestampedMiniBatchStream)
+
+    def test_auto_batch_size_needs_worker_shards(self):
+        with pytest.raises(ValueError, match="auto"):
+            DistributedSamplingRun(
+                "ours", k=5, p=2, batch_size="auto", stream=MiniBatchStream(2, 10)
+            )
+        with pytest.raises(ValueError, match="auto"):
+            DistributedSamplingRun("ours", k=5, p=2, batch_size="auto", window=100)
+        with pytest.raises(ValueError, match="target_round_time"):
+            DistributedSamplingRun("ours", k=5, p=2, batch_size=10, target_round_time=0.1)
+
+
+class TestWarmup:
+    def test_warmup_rounds_run_once_and_are_not_recorded(self):
+        with DistributedSamplingRun(
+            "ours", k=10, p=2, batch_size=40, seed=2, warmup_rounds=3
+        ) as run:
+            assert run.run(0).num_rounds == 0
+            assert run.rounds_completed == 0  # warm-up is lazy
+            metrics = run.run(2)
+            assert run.rounds_completed == 5
+            run.run(1)
+        assert metrics.num_rounds == 3
+        assert [r.round_index for r in metrics.rounds] == [3, 4, 5]
+        assert metrics.total_items == 3 * 2 * 40
+
+    def test_warmup_is_checkpointed_and_resumed(self, tmp_path):
+        with DistributedSamplingRun(
+            "ours", k=10, p=2, batch_size=40, seed=2, warmup_rounds=2,
+            checkpoint_dir=tmp_path, checkpoint_every=1,
+        ) as run:
+            run.run(2)
+            reference = run.sample_ids()
+            with DistributedSamplingRun(
+                "ours", k=10, p=2, batch_size=40, seed=2, warmup_rounds=2
+            ) as longer:
+                longer.run(3)
+                expected = longer.sample_ids()
+        with DistributedSamplingRun.resume(tmp_path) as resumed:
+            assert resumed.rounds_completed == 4
+            np.testing.assert_array_equal(resumed.sample_ids(), reference)
+            resumed.run(1)  # no second warm-up
+            assert resumed.rounds_completed == 5
+            np.testing.assert_array_equal(resumed.sample_ids(), expected)
+
+
 class TestTopLevelExports:
     def test_version_string(self):
         assert isinstance(repro.__version__, str)

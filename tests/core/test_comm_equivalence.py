@@ -11,9 +11,8 @@ keys — and the same threshold trajectory under both backends.
 import numpy as np
 import pytest
 
-from repro.core import make_distributed_sampler, numba_available
+from repro.core import DistributedSamplingRun, make_distributed_sampler, numba_available
 from repro.network import ProcessComm, SimComm
-from repro.runtime import ParallelStreamingRun
 from repro.stream import MiniBatchStream
 
 ROUNDS = 5
@@ -103,13 +102,13 @@ def test_equivalence_with_btree_store():
 
 
 def test_worker_stream_runs_identical_across_backends():
-    """The ParallelStreamingRun path (worker-generated batches) is also exact."""
+    """The worker-shard path (no stream=, worker-generated batches) is also exact."""
     kwargs = dict(k=40, p=2, batch_size=250, warmup_rounds=1, seed=SEED)
-    with ParallelStreamingRun("ours", comm="sim", **kwargs) as sim_run:
-        sim_run.run_rounds(4)
+    with DistributedSamplingRun("ours", comm="sim", **kwargs) as sim_run:
+        sim_run.run(4)
         sim_ids = np.sort(sim_run.sample_ids())
-    with ParallelStreamingRun("ours", comm="process", **kwargs) as proc_run:
-        metrics = proc_run.run_rounds(4)
+    with DistributedSamplingRun("ours", comm="process", **kwargs) as proc_run:
+        metrics = proc_run.run(4)
         proc_ids = np.sort(proc_run.sample_ids())
     np.testing.assert_array_equal(sim_ids, proc_ids)
     assert metrics.wall_time > 0.0

@@ -261,11 +261,11 @@ class TestKernelTierByteIdentity:
 
     @pytest.mark.parametrize("mode", ["strict", "relaxed"])
     def test_pipelined_identical_across_tiers(self, mode):
-        from repro.pipeline import PipelinedSamplingRun
+        from repro.core import DistributedSamplingRun
 
         samples = {}
         for tier in ("numpy", "jit"):
-            with PipelinedSamplingRun(
+            with DistributedSamplingRun(
                 "ours",
                 comm="sim",
                 k=30,
@@ -276,7 +276,7 @@ class TestKernelTierByteIdentity:
                 pipeline=mode,
                 kernel_tier=tier,
             ) as run:
-                run.run_rounds(4)
+                run.run(4)
                 samples[tier] = (np.sort(run.sample_ids()), run.sampler.threshold)
         np.testing.assert_array_equal(samples["numpy"][0], samples["jit"][0])
         assert samples["numpy"][1] == samples["jit"][1]

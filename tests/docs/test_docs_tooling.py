@@ -53,9 +53,11 @@ class TestApiReferenceCoverage:
         for symbol in ("Communicator", "ProcessComm", "SimComm", "WorkerError", "make_communicator"):
             assert f"### `{symbol}`" in page or f"### `{symbol}(" in page
 
-    def test_runtime_page_documents_parallel_run(self, generated):
-        page = (generated / "repro_runtime.md").read_text()
-        assert "ParallelStreamingRun" in page
+    def test_core_page_documents_run_driver(self, generated):
+        page = (generated / "repro_core.md").read_text()
+        assert "### `DistributedSamplingRun`" in page
+        assert "`run_for(self, seconds" in page
+        assert "warmup_rounds" in page
         assert "wall" in page.lower()
 
 

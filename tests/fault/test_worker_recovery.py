@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.api import DistributedSamplingRun
 from repro.network.process_comm import FaultSpec, WorkerError
+from repro.stream import MiniBatchStream
 
 from conftest import kill_worker, shm_segment_names
 
@@ -79,6 +80,39 @@ class TestSigkillRecovery:
         kill_worker(comm, 2)
         run.run(2)
         assert comm.epoch == 1
+
+
+class TestRecoveryInEveryStreamMode:
+    """Every run mode shares one round loop, so every mode recovers."""
+
+    @staticmethod
+    def mode_kwargs(mode: str) -> dict:
+        if mode == "coordinator":
+            return {"stream": MiniBatchStream(P, 150, seed=5)}
+        if mode == "worker":  # worker stream shards; the warm-up is replayed too
+            return {"warmup_rounds": 1}
+        return {"pipeline": "strict", "warmup_rounds": 1}
+
+    @pytest.mark.parametrize("mode", ["coordinator", "worker", "strict"])
+    def test_sigkill_recovers_byte_identical(self, mode, make_process_comm, checkpoint_dir):
+        ref = reference_ids(6, **self.mode_kwargs(mode))
+        comm = make_process_comm(P)
+        run = DistributedSamplingRun(
+            "ours",
+            comm=comm,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=2,
+            **RUN_KWARGS,
+            **self.mode_kwargs(mode),
+        )
+        run.run(3)
+        kill_worker(comm, 1)
+        run.run(3)
+
+        assert run.metrics.recoveries == 1
+        assert run.metrics.num_rounds == 6
+        assert comm.workers_alive == [True] * P
+        assert np.array_equal(run.sample_ids(), ref)
 
 
 class TestInjectedFaults:

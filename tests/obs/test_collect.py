@@ -21,30 +21,37 @@ import pytest
 
 from repro.core.api import DistributedSamplingRun
 from repro.obs import TraceCollector, validate_chrome_trace
-from repro.pipeline import PipelinedSamplingRun
 from repro.runtime.metrics import PHASES
+from repro.stream import MiniBatchStream
 
 RUN_KWARGS = dict(k=30, p=2, batch_size=200, seed=9)
 ROUNDS = 4
+#: the run modes: coordinator-fed stream, worker stream shards, pipelined
+MODES = ("coordinator", "worker", "pipelined")
 
 
-def run_sample_ids(driver, trace, **overrides):
-    kwargs = {**RUN_KWARGS, **overrides}
-    with driver("ours", trace=trace, **kwargs) as run:
-        if isinstance(run, DistributedSamplingRun):
-            run.run(ROUNDS)
-        else:
-            run.run_rounds(ROUNDS)
+def mode_kwargs(mode):
+    if mode == "coordinator":
+        return {"stream": MiniBatchStream(2, 200, seed=9)}
+    if mode == "pipelined":
+        return {"pipeline": "relaxed", "warmup_rounds": 1}
+    return {}
+
+
+def run_sample_ids(mode, trace, **overrides):
+    kwargs = {**RUN_KWARGS, **mode_kwargs(mode), **overrides}
+    with DistributedSamplingRun("ours", trace=trace, **kwargs) as run:
+        run.run(ROUNDS)
         return np.sort(run.sample_ids())
 
 
 class TestNullTracerByteIdentity:
     @pytest.mark.parametrize("comm", ["sim", "process"])
-    @pytest.mark.parametrize("driver", [DistributedSamplingRun, PipelinedSamplingRun])
-    def test_sample_ids_identical_with_tracing_on_off(self, driver, comm):
-        baseline = run_sample_ids(driver, None, comm=comm)
-        traced = run_sample_ids(driver, True, comm=comm)
-        off = run_sample_ids(driver, False, comm=comm)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sample_ids_identical_with_tracing_on_off(self, mode, comm):
+        baseline = run_sample_ids(mode, None, comm=comm)
+        traced = run_sample_ids(mode, True, comm=comm)
+        off = run_sample_ids(mode, False, comm=comm)
         assert np.array_equal(baseline, traced)
         assert np.array_equal(baseline, off)
 
@@ -129,17 +136,18 @@ class TestCollectedEvents:
 class TestPipelinedTraceAcceptance:
     def test_p4_pipelined_trace_validates_with_one_track_per_pe(self, tmp_path):
         collector = TraceCollector()
-        with PipelinedSamplingRun(
+        with DistributedSamplingRun(
             "ours",
             k=50,
             p=4,
             batch_size=400,
+            warmup_rounds=1,
             seed=3,
             comm="process",
             pipeline="relaxed",
             trace=collector,
         ) as run:
-            run.run_rounds(ROUNDS)
+            run.run(ROUNDS)
         path = collector.export(tmp_path / "trace.json")
 
         trace = json.loads(path.read_text())

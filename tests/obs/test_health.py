@@ -35,19 +35,50 @@ from repro.obs.health import (
     worker_wait_beat,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.parallel import ParallelStreamingRun
+from repro.stream import MiniBatchStream
 
 RUN_KWARGS = dict(k=30, p=2, batch_size=200, seed=9)
 ROUNDS = 4
 
 
-def run_sample_ids(driver, health, **overrides):
+def empty_state(rank):
+    return {}
+
+
+class SlowToPickle:
+    """Takes ``seconds`` to pickle, which stalls a queue's feeder thread."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __reduce__(self):
+        time.sleep(self.seconds)
+        return (bytes, ())
+
+
+def beat_burst_kernel(state, beats):
+    """Queue a slow-to-send filler, then ``beats`` beats, and return at once.
+
+    The queue's feeder thread pickles and writes messages in order, so the
+    command reply reaches the coordinator well before the beats do.
+    """
+    from repro.obs import health
+
+    queue, rank, epoch = health._WORKER_BEATS[:3]
+    queue.put(("filler", SlowToPickle(0.5)))
+    for _ in range(beats):
+        health._worker_send(("beat", rank, epoch, 0, "burst", "end", 1, 0.0, 0.0))
+    return beats
+
+
+def run_sample_ids(stream_source, health, **overrides):
     kwargs = {**RUN_KWARGS, **overrides}
-    with driver("ours", health=health, **kwargs) as run:
-        if isinstance(run, DistributedSamplingRun):
-            run.run(ROUNDS)
-        else:
-            run.run_rounds(ROUNDS)
+    if stream_source == "coordinator":
+        kwargs["stream"] = MiniBatchStream(2, 200, seed=9)
+    else:  # worker stream shards
+        kwargs["warmup_rounds"] = 1
+    with DistributedSamplingRun("ours", health=health, **kwargs) as run:
+        run.run(ROUNDS)
         return np.sort(run.sample_ids())
 
 
@@ -131,6 +162,16 @@ class TestBeatTransport:
     def test_wait_beat_is_noop_outside_workers(self):
         worker_wait_beat()  # coordinator process: no queue registered
 
+    def test_drain_waits_for_the_beats_a_reply_announced(self):
+        from repro.network import ProcessComm
+
+        with ProcessComm(2) as comm:
+            handle = comm.create_pe_state(empty_state)
+            comm.run_per_pe(handle, beat_burst_kernel, [(300,)] * 2)
+            assert comm._beats_announced == [300, 300]
+            messages = comm.drain_beats(replay_logs=False, settle=30.0)
+        assert sum(message[0] == "beat" for message in messages) == 600
+
 
 class TestResolveHealth:
     def test_none_and_false_disable(self):
@@ -180,11 +221,11 @@ class TestStallError:
 # ---------------------------------------------------------------------------
 class TestByteIdentity:
     @pytest.mark.parametrize("comm", ["sim", "process"])
-    @pytest.mark.parametrize("driver", [DistributedSamplingRun, ParallelStreamingRun])
-    def test_sample_ids_identical_with_health_on_off(self, driver, comm):
-        baseline = run_sample_ids(driver, None, comm=comm)
-        monitored = run_sample_ids(driver, True, comm=comm)
-        off = run_sample_ids(driver, False, comm=comm)
+    @pytest.mark.parametrize("stream_source", ["coordinator", "worker"])
+    def test_sample_ids_identical_with_health_on_off(self, stream_source, comm):
+        baseline = run_sample_ids(stream_source, None, comm=comm)
+        monitored = run_sample_ids(stream_source, True, comm=comm)
+        off = run_sample_ids(stream_source, False, comm=comm)
         assert np.array_equal(baseline, monitored)
         assert np.array_equal(baseline, off)
 
@@ -213,15 +254,19 @@ class TestLiveMonitoring:
             assert rank["round"] == ROUNDS
             assert rank["items"] > 0
 
+    def test_status_covers_beats_still_in_flight(self):
+        # each command reply echoes its rank's beat count; status() waits
+        # until that many beats per rank have come off the queue
+        with DistributedSamplingRun("ours", health=True, comm="process", **RUN_KWARGS) as run:
+            run.run(2)
+            before = {rank: view["items"] for rank, view in run.health.status()["ranks"].items()}
+            run.comm.run_per_pe(run.sampler._handle, beat_burst_kernel, [(50,)] * 2)
+            after = run.health.status()["ranks"]
+        assert all(after[rank]["items"] == items + 50 for rank, items in before.items())
+
     def test_skew_gauge_exported(self, finished_run):
-        # on the process backend the workers' final heartbeats may still be
-        # in flight when the run returns; drain until they have landed
-        deadline = time.monotonic() + 5.0
-        while True:
-            finished_run.health._drain_once()
-            if finished_run.health.skew_by_phase() or time.monotonic() > deadline:
-                break
-            time.sleep(0.05)
+        # status() drains every beat the finished rounds' replies announced
+        finished_run.health.status()
         finished_run.health._update_registry()
         text = finished_run.health.registry.exposition()
         assert "repro_straggler_skew" in text

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.pipeline import BatchSizeAutotuner, PipelinedSamplingRun
-from repro.runtime import ParallelStreamingRun
+from repro.core import DistributedSamplingRun
+from repro.pipeline import BatchSizeAutotuner
 from repro.stream.shard import StreamShardSpec, WorkerStreamShard
 
 
@@ -110,35 +110,36 @@ class TestVariableShards:
 
 class TestAutoBatchDrivers:
     def test_pipelined_run_auto_resizes(self):
-        with PipelinedSamplingRun(
+        with DistributedSamplingRun(
             "ours", k=20, p=2, comm="sim", pipeline="relaxed",
             batch_size="auto", warmup_rounds=0, seed=3,
             target_round_time=1e-4,  # far below any real round: forces shrinks
         ) as run:
-            run.run_rounds(6)
+            run.run(6)
             assert run.autotuner is not None
             assert run.autotuner.adjustments > 0
             assert run.batch_size == run.autotuner.size
 
-    def test_parallel_run_auto_resizes(self):
-        with ParallelStreamingRun(
+    def test_lockstep_run_auto_resizes(self):
+        with DistributedSamplingRun(
             "ours", k=20, p=2, comm="sim", batch_size="auto",
             warmup_rounds=0, seed=3, target_round_time=1e9,  # forces growth
         ) as run:
-            metrics = run.run_rounds(4)
+            metrics = run.run(4)
             assert run.batch_size > 4096
         assert metrics.total_items > 0
 
     def test_auto_sample_is_still_exact_size_k(self):
-        with PipelinedSamplingRun(
+        with DistributedSamplingRun(
             "ours", k=25, p=2, comm="sim", pipeline="relaxed",
             batch_size="auto", warmup_rounds=1, seed=8, target_round_time=1e-4,
         ) as run:
-            run.run_rounds(6)
+            run.run(6)
             assert len(run.sample_ids()) == 25
 
     def test_rejects_unknown_batch_size_string(self):
-        with pytest.raises(ValueError, match="auto"):
-            PipelinedSamplingRun("ours", k=5, p=2, comm="sim", batch_size="huge")
-        with pytest.raises(ValueError, match="auto"):
-            ParallelStreamingRun("ours", k=5, p=2, comm="sim", batch_size="huge")
+        for pipeline in ("relaxed", "off"):
+            with pytest.raises(ValueError, match="auto"):
+                DistributedSamplingRun(
+                    "ours", k=5, p=2, comm="sim", batch_size="huge", pipeline=pipeline
+                )

@@ -25,11 +25,10 @@ from repro.analysis.statistics import (
     total_variation_distance,
     weighted_inclusion_reference,
 )
-from repro.core import pe_kernels
+from repro.core import DistributedSamplingRun, make_distributed_sampler, pe_kernels
 from repro.core.local_reservoir import LocalReservoir
-from repro.pipeline import PipelinedSamplingRun
-from repro.runtime import ParallelStreamingRun
-from repro.stream.generators import WeightGenerator
+from repro.network import SimComm
+from repro.stream import MiniBatchStream
 from repro.stream.shard import StreamShardSpec, WorkerStreamShard
 
 # small finite population + many trials, matching the noise floor the
@@ -40,36 +39,30 @@ ROUNDS = 4
 N_ITEMS = P * BATCH * ROUNDS
 K = 6
 TRIALS = 400
-
-
-class IdDerivedWeights(WeightGenerator):
-    """Deterministic weights derived from the (fixed) item ids.
-
-    The shard id layout is deterministic, so tying the weight to the id
-    gives every trial the same finite weighted population — which is what
-    lets inclusion frequencies be compared across trials and against the
-    dense reference.
-    """
-
-    def __init__(self, p: int) -> None:
-        self.p = p
-
-    def generate(self, size, rng, *, pe=0, round_index=0):
-        start = (round_index * self.p + pe) * size
-        ids = np.arange(start, start + size)
-        return 0.5 + (ids % 7).astype(np.float64)
+#: every trial reads the same stream (one fixed finite weighted population)
+#: and varies only the sampler's seed — which is what lets inclusion
+#: frequencies be compared across trials and against the dense reference
+STREAM_SEED = 0
 
 
 def _population_weights() -> np.ndarray:
-    ids = np.arange(N_ITEMS)
-    return 0.5 + (ids % 7).astype(np.float64)
+    """Item weights by id, replayed from the stream the workers generate."""
+    stream = MiniBatchStream(P, BATCH, seed=STREAM_SEED)
+    batches = [batch for _ in range(ROUNDS) for batch in stream.next_round().batches]
+    weights = np.zeros(N_ITEMS)
+    for batch in batches:
+        weights[batch.ids] = batch.weights
+    return weights
 
 
-def _inclusion_counts(make_run) -> np.ndarray:
+def _inclusion_counts(pipeline: str) -> np.ndarray:
     counts = np.zeros(N_ITEMS)
     for seed in range(TRIALS):
-        with make_run(seed) as run:
-            run.run_rounds(ROUNDS)
+        sampler = make_distributed_sampler("ours", K, SimComm(P), seed=seed)
+        with DistributedSamplingRun(
+            sampler, pipeline=pipeline, batch_size=BATCH, seed=STREAM_SEED
+        ) as run:
+            run.run(ROUNDS)
             sample = run.sample_ids()
         counts[sample] += 1
     return counts
@@ -77,19 +70,7 @@ def _inclusion_counts(make_run) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def relaxed_counts() -> np.ndarray:
-    return _inclusion_counts(
-        lambda seed: PipelinedSamplingRun(
-            "ours",
-            k=K,
-            p=P,
-            comm="sim",
-            pipeline="relaxed",
-            batch_size=BATCH,
-            warmup_rounds=0,
-            seed=seed,
-            weights=IdDerivedWeights(P),
-        )
-    )
+    return _inclusion_counts("relaxed")
 
 
 class TestRelaxedInclusionProbabilities:
@@ -104,18 +85,7 @@ class TestRelaxedInclusionProbabilities:
         assert statistic < stats.chi2.ppf(0.9999, dof), (statistic, dof)
 
     def test_relaxed_matches_lockstep_frequencies(self, relaxed_counts):
-        lockstep_counts = _inclusion_counts(
-            lambda seed: ParallelStreamingRun(
-                "ours",
-                k=K,
-                p=P,
-                comm="sim",
-                batch_size=BATCH,
-                warmup_rounds=0,
-                seed=seed,
-                weights=IdDerivedWeights(P),
-            )
-        )
+        lockstep_counts = _inclusion_counts("off")
         # both estimates carry Monte-Carlo noise, hence the wider tolerance
         assert total_variation_distance(relaxed_counts, lockstep_counts) < 0.09
 
@@ -178,11 +148,11 @@ class TestSupersetThenPruneInvariant:
     def test_end_to_end_stale_extra_bookkeeping(self):
         """Per-round stale_extra is non-negative and only counts relaxed
         rounds; the total surfaces in the run metrics."""
-        with PipelinedSamplingRun(
+        with DistributedSamplingRun(
             "ours", k=40, p=2, comm="sim", pipeline="relaxed",
             batch_size=300, warmup_rounds=1, seed=11,
         ) as run:
-            metrics = run.run_rounds(6)
+            metrics = run.run(6)
         per_round = [r.stale_extra_candidates for r in metrics.rounds]
         assert all(extra >= 0 for extra in per_round)
         assert metrics.total_stale_extra_candidates == sum(per_round)
@@ -191,9 +161,9 @@ class TestSupersetThenPruneInvariant:
         assert metrics.total_stale_extra_candidates > 0
 
     def test_strict_mode_never_has_stale_extra(self):
-        with PipelinedSamplingRun(
+        with DistributedSamplingRun(
             "ours", k=40, p=2, comm="sim", pipeline="strict",
             batch_size=300, warmup_rounds=1, seed=11,
         ) as run:
-            metrics = run.run_rounds(6)
+            metrics = run.run(6)
         assert metrics.total_stale_extra_candidates == 0

@@ -1,8 +1,8 @@
 """Strict pipeline mode must be byte-identical to the lock-step drivers.
 
 The acceptance gate of the asynchronous ingestion pipeline: for the same
-seed, ``pipeline="strict"`` produces exactly the sample the synchronous
-:class:`~repro.runtime.ParallelStreamingRun` produces — ids *and* keys,
+seed, ``pipeline="strict"`` produces exactly the sample the lock-step
+worker-shard rounds (``pipeline="off"``) produce — ids *and* keys,
 on the simulated and the real multiprocess backend.  Strict mode only
 moves *when* the shard batches are materialised (into a worker background
 thread, overlapping the selection); every RNG stream is consumed in the
@@ -13,24 +13,22 @@ import numpy as np
 import pytest
 
 from repro.core import DistributedSamplingRun
-from repro.pipeline import PipelinedSamplingRun
-from repro.runtime import ParallelStreamingRun
 
 ROUNDS = 5
 SEED = 13
 
 
 def _lockstep_run(algorithm, comm, **kwargs):
-    with ParallelStreamingRun(algorithm, comm=comm, **kwargs) as run:
-        run.run_rounds(ROUNDS)
+    with DistributedSamplingRun(algorithm, comm=comm, **kwargs) as run:
+        run.run(ROUNDS)
         ids = np.sort(run.sample_ids())
         threshold = run.sampler.threshold
     return ids, threshold
 
 
 def _pipelined_run(algorithm, comm, mode, **kwargs):
-    with PipelinedSamplingRun(algorithm, comm=comm, pipeline=mode, **kwargs) as run:
-        metrics = run.run_rounds(ROUNDS)
+    with DistributedSamplingRun(algorithm, comm=comm, pipeline=mode, **kwargs) as run:
+        metrics = run.run(ROUNDS)
         ids = np.sort(run.sample_ids())
         threshold = run.sampler.threshold
     return ids, threshold, metrics
@@ -136,10 +134,6 @@ class TestHighLevelApiWiring:
     def test_api_rejects_unknown_pipeline_mode(self):
         with pytest.raises(ValueError, match="pipeline mode"):
             DistributedSamplingRun("ours", k=10, p=2, batch_size=100, pipeline="bogus")
-
-    def test_driver_rejects_pipeline_off(self):
-        with pytest.raises(ValueError, match="lock-step"):
-            PipelinedSamplingRun("ours", k=10, p=2, comm="sim", pipeline="off")
 
     def test_windowed_api_pipeline_runs(self):
         with DistributedSamplingRun(

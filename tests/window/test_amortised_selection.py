@@ -111,12 +111,12 @@ def test_sim_and_process_backends_agree_with_amortisation():
 @pytest.mark.parametrize("weighted", [True, False])
 def test_pipelined_windowed_run_records_skips(weighted):
     """The amortised check also fires inside the pipelined windowed engine."""
-    from repro.pipeline import PipelinedSamplingRun
+    from repro.core import DistributedSamplingRun
 
-    with PipelinedSamplingRun(
+    with DistributedSamplingRun(
         "ours", k=K, p=P, comm="sim", pipeline="relaxed", batch_size=BATCH,
         warmup_rounds=0, seed=5, window=WINDOW, weighted=weighted,
     ) as run:
-        metrics = run.run_rounds(ROUNDS)
+        metrics = run.run(ROUNDS)
     assert metrics.total_selection_skips == run.sampler.selection_skips
     assert metrics.total_selection_skips > 0
