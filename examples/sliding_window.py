@@ -36,7 +36,7 @@ def sliding_window_quickstart() -> None:
     weights = np.ones(n_items)
     weights[:20_000] *= 50.0  # the (long-gone) burst
 
-    unbounded = ReservoirSampler(k=k, weighted=True, seed=7, store="merge")
+    unbounded = ReservoirSampler(k=k, weighted=True, seed=7)
     windowed = ReservoirSampler(k=k, weighted=True, seed=7, window=window)
     for start in range(0, n_items, 10_000):
         stop = start + 10_000

@@ -113,13 +113,15 @@ class ReservoirSampler:
         sampler.feed(ids, weights)
         sample = sampler.sample_ids()
 
-    ``store`` selects the reservoir storage: ``None`` (default) keeps the
-    classic per-item jump algorithm; ``"merge"`` or ``"btree"`` switch to
-    the vectorized mini-batch path over a pluggable reservoir store.
+    Every batch gets dense keys, is prefiltered against the current
+    threshold, merged into a reservoir store and truncated to ``k``;
+    :meth:`add` feeds a batch of one.  ``store`` selects the store backend:
+    ``"merge"`` (the default, also spelled ``None``) or ``"btree"``.  It
+    never changes the sample.
 
     ``kernel_tier`` selects the hot-loop implementation (``"numpy"``,
-    ``"jit"`` or ``"auto"``, see :mod:`repro.core.jit_kernels`); it only
-    has an effect on store-backed paths and never changes the sample.
+    ``"jit"`` or ``"auto"``, see :mod:`repro.core.jit_kernels`); it has no
+    effect in window mode and never changes the sample.
 
     ``trace`` enables span recording (see :mod:`repro.obs`): ``True`` or a
     :class:`~repro.obs.collect.TraceCollector` records insert spans on the
@@ -173,19 +175,16 @@ class ReservoirSampler:
                 raise ValueError("store= does not apply to sliding-window sampling")
             self.store = None
             self._impl = SlidingWindowReservoir(k, window, weighted=weighted, seed=seed)
-        elif decay is not None:
-            self.store = normalize_store_name(store) if store is not None else "merge"
+            return
+        self.store = normalize_store_name("merge" if store is None else store)
+        if decay is not None:
             self._impl = DecayedReservoir(
                 k, decay, weighted=weighted, seed=seed, store=self.store,
                 kernel_tier=self.kernel_tier,
             )
         else:
-            self.store = normalize_store_name(store) if store is not None else None
-            self._impl = (
-                SequentialWeightedReservoir(k, seed, store=store, kernel_tier=self.kernel_tier)
-                if weighted
-                else SequentialUniformReservoir(k, seed, store=store, kernel_tier=self.kernel_tier)
-            )
+            sequential = SequentialWeightedReservoir if weighted else SequentialUniformReservoir
+            self._impl = sequential(k, seed, store=self.store, kernel_tier=self.kernel_tier)
 
     @property
     def items_seen(self) -> int:

@@ -19,13 +19,13 @@ distribution below ``T``: ``v_j = -ln(rand(e^{-T w_j}, 1)) / w_j``.
 For uniform sampling the number of *items* to skip is geometric with
 success probability ``T`` and the accepted item's key is ``rand() * T``.
 
-This module provides scalar forms (used by the sequential samplers, which
-update ``T`` after every insertion) and vectorised batch kernels (used by
-the distributed sampler, whose threshold is fixed for a whole mini-batch).
-The batch kernel walks the cumulative weights with ``searchsorted``, which
-is exactly the exponential-jumps traversal — including the Section-5
-optimisation of skipping whole blocks of items at once — expressed as array
-operations.
+This module provides dense key generators (used by the sequential and
+decayed samplers and the reference samplers) and vectorised jump kernels
+(used by the distributed sampler, whose threshold is fixed for a whole
+mini-batch).  The jump kernel walks the cumulative weights with
+``searchsorted``, which is exactly the exponential-jumps traversal —
+including the Section-5 optimisation of skipping whole blocks of items at
+once — expressed as array operations.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ from repro.utils.validation import check_positive, check_weights
 __all__ = [
     "exponential_keys",
     "uniform_keys",
-    "weighted_skip",
-    "weighted_key_below_threshold",
-    "geometric_skip",
-    "uniform_key_below_threshold",
     "check_jump_arguments",
     "check_uniform_jump_arguments",
     "weighted_jump_positions",
@@ -83,50 +79,6 @@ def uniform_keys(count: int, rng=None) -> np.ndarray:
         raise ValueError("count must be non-negative")
     rng = ensure_generator(rng)
     return _rand_open(rng, count)
-
-
-# ---------------------------------------------------------------------------
-# scalar skip values (sequential samplers)
-# ---------------------------------------------------------------------------
-def weighted_skip(threshold: float, rng=None) -> float:
-    """Amount of weight to skip before the next insertion (rate ``T``)."""
-    check_positive(threshold, "threshold")
-    rng = ensure_generator(rng)
-    return float(-math.log(_rand_open(rng)) / threshold)
-
-
-def weighted_key_below_threshold(weight: float, threshold: float, rng=None) -> float:
-    """Key of an item that was determined to enter the reservoir.
-
-    Draws ``v = -ln(rand(e^{-T w}, 1)) / w``, i.e. the key distribution of
-    an item of weight ``w`` conditioned on being below the threshold ``T``.
-    """
-    check_positive(weight, "weight")
-    check_positive(threshold, "threshold")
-    rng = ensure_generator(rng)
-    lower = math.exp(-threshold * weight)
-    u = lower + _rand_open(rng) * (1.0 - lower)
-    u = max(u, _TINY)
-    return float(-math.log(u) / weight)
-
-
-def geometric_skip(threshold: float, rng=None) -> int:
-    """Number of items to skip for uniform sampling (geometric jumps)."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"uniform threshold must lie in (0, 1], got {threshold}")
-    rng = ensure_generator(rng)
-    if threshold >= 1.0:
-        return 0
-    u = _rand_open(rng)
-    return int(math.floor(math.log(u) / math.log(1.0 - threshold)))
-
-
-def uniform_key_below_threshold(threshold: float, rng=None) -> float:
-    """Key (uniform in ``(0, T]``) of an accepted item in uniform sampling."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"uniform threshold must lie in (0, 1], got {threshold}")
-    rng = ensure_generator(rng)
-    return float(_rand_open(rng) * threshold)
 
 
 # ---------------------------------------------------------------------------

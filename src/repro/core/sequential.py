@@ -1,16 +1,16 @@
-"""Sequential reservoir samplers (paper Sections 4.1 and 4.3).
+"""Sequential reservoir samplers (paper Sections 3.1 and 4.1).
 
 These are the single-PE building blocks of the distributed algorithm and
 double as baselines and as reference implementations for the statistical
 tests:
 
-* :class:`SequentialWeightedReservoir` — weighted reservoir sampling with
-  the exponential-jumps skip values adapted to exponential keys
-  (Section 4.1).  The threshold (largest key in the reservoir) is updated
-  after every insertion, unlike the distributed mini-batch algorithm which
-  freezes it per batch.
-* :class:`SequentialUniformReservoir` — uniform reservoir sampling with
-  geometric jumps (Section 4.3, following Devroye/Li).
+* :class:`SequentialWeightedReservoir` — weighted reservoir sampling over a
+  stream of mini-batches: every batch gets dense exponential keys, is
+  prefiltered against the current threshold (the largest key in the
+  reservoir), merged into a :class:`~repro.core.store.ReservoirStore` and
+  truncated to ``k``.
+* :class:`SequentialUniformReservoir` — the same batch path with uniform
+  keys.
 * :func:`dense_weighted_sample` / :func:`dense_uniform_sample` — brute-force
   reference samplers that give every item a key and keep the ``k`` smallest;
   the distribution of their output is by construction correct, so they are
@@ -19,8 +19,6 @@ tests:
 
 from __future__ import annotations
 
-import heapq
-import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +27,7 @@ from repro.core import keys as keymod
 from repro.core.store import ReservoirStore, make_store, normalize_store_name
 from repro.stream.items import ItemBatch
 from repro.utils.rng import ensure_generator
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "SequentialWeightedReservoir",
@@ -53,14 +51,15 @@ def ingest_keyed_batch(
 
     Keys at or above ``threshold`` are dropped, the survivors are merged
     into ``store`` truncated to ``k`` items, and the returned count is the
-    number of batch items that ended up *in* the reservoir (matching the
-    per-item path's notion of "entered the reservoir", not merely "passed
-    the prefilter").  When ``weights_by_id`` is given, the surviving
-    weights are recorded and the mapping is pruned to the stored ids once
-    it grows past ``4 * k + 64`` entries.  Shared by the sequential
+    number of batch items that ended up *in* the reservoir, not merely
+    passed the prefilter.  When ``weights_by_id`` is given, the weights of
+    those items are recorded and the mapping is pruned to the stored ids
+    once it grows past ``4 * k + 64`` entries.  Shared by the sequential
     samplers and :class:`repro.window.decayed.DecayedReservoir`, whose
     batch paths differ only in how the keys are generated.
     """
+    if weights_by_id is not None and weights is None:
+        raise ValueError("weights_by_id bookkeeping requires the weight array")
     if threshold is not None:
         mask = keys < threshold
         keys, ids = keys[mask], ids[mask]
@@ -68,12 +67,13 @@ def ingest_keyed_batch(
             weights = weights[mask]
     inserted = store.insert_batch(keys, ids, capacity=k)
     if inserted and len(store) >= k:
-        inserted = int(np.count_nonzero(keys <= store.max_key()))
+        entered = keys <= store.max_key()
+        inserted = int(np.count_nonzero(entered))
+        if weights_by_id is not None:
+            ids, weights = ids[entered], weights[entered]
     if weights_by_id is not None:
-        if weights is None:
-            raise ValueError("weights_by_id bookkeeping requires the weight array")
         for item_id, weight in zip(ids.tolist(), weights.tolist()):
-            weights_by_id[int(item_id)] = float(weight)
+            weights_by_id[item_id] = weight
         if len(weights_by_id) > 4 * k + 64:
             kept = set(store.ids_array().tolist())
             for item_id in [i for i in weights_by_id if i not in kept]:
@@ -81,39 +81,8 @@ def ingest_keyed_batch(
     return inserted
 
 
-class _ReservoirHeap:
-    """A max-heap of (key, item id, weight) capped at ``k`` entries."""
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        # store negated keys so that heapq (a min-heap) pops the largest key
-        self._heap: List[Tuple[float, int, float]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def full(self) -> bool:
-        return len(self._heap) >= self.k
-
-    @property
-    def max_key(self) -> float:
-        if not self._heap:
-            raise ValueError("empty reservoir has no threshold")
-        return -self._heap[0][0]
-
-    def push(self, key: float, item_id: int, weight: float) -> None:
-        heapq.heappush(self._heap, (-key, item_id, weight))
-
-    def replace_max(self, key: float, item_id: int, weight: float) -> None:
-        heapq.heapreplace(self._heap, (-key, item_id, weight))
-
-    def items(self) -> List[Tuple[float, int, float]]:
-        return [(-neg_key, item_id, weight) for neg_key, item_id, weight in self._heap]
-
-
 class SequentialWeightedReservoir:
-    """Weighted reservoir sampler over a stream of (id, weight) items.
+    """Weighted reservoir sampler over a stream of (id, weight) batches.
 
     Parameters
     ----------
@@ -122,45 +91,38 @@ class SequentialWeightedReservoir:
     seed:
         Seed or generator for the random key stream.
     store:
-        ``None`` (default) keeps the classic per-item heap with exponential
-        jumps.  A store backend name (``"merge"`` or ``"btree"``) switches
-        to the vectorized mini-batch path: every batch gets dense
-        exponential keys, is prefiltered against the current threshold and
-        merged into a :class:`~repro.core.store.ReservoirStore` truncated
-        to ``k`` — statistically equivalent, and far faster per batch.
+        Reservoir store backend, ``"merge"`` (default) or ``"btree"``; the
+        backend never changes the sample.
+    kernel_tier:
+        Store merge implementation (``"numpy"``, ``"jit"`` or ``"auto"``,
+        see :mod:`repro.core.jit_kernels`); never changes the sample.
 
     Notes
     -----
     The sampler keeps the ``k`` items with the smallest exponential keys
-    seen so far.  After the reservoir is full it uses exponential jumps: it
-    draws how much *weight* may pass before the next insertion and examines
-    only the items that exhaust the skip, as in Section 4.1 of the paper.
+    ``-ln(U)/w`` seen so far (Section 3.1).  Every batch gets dense keys, is
+    prefiltered against the current threshold (the largest stored key) and
+    merged into the store in one pass, which is then truncated to ``k``.
+    :meth:`insert` feeds a batch of one.
     """
 
     def __init__(
-        self, k: int, seed=None, *, store: Optional[str] = None, kernel_tier: str = "numpy"
+        self, k: int, seed=None, *, store: str = "merge", kernel_tier: str = "numpy"
     ) -> None:
         self.k = check_positive_int(k, "k")
         self._rng = ensure_generator(seed)
-        self.store = normalize_store_name(store) if store is not None else None
-        self._store: Optional[ReservoirStore] = (
-            make_store(store, kernel_tier=kernel_tier) if store is not None else None
-        )
-        self._weights_by_id = {} if store is not None else None
-        self._reservoir = _ReservoirHeap(self.k)
+        self.store = normalize_store_name(store)
+        self._store: ReservoirStore = make_store(self.store, kernel_tier=kernel_tier)
+        self._weights_by_id = {}
         self._items_seen = 0
         self._total_weight = 0.0
-        self._weight_to_skip = 0.0  # remaining weight of the current jump
-        self._skips_drawn = 0
         self._insertions = 0
 
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
         """Current number of items in the reservoir (``min(k, n)``)."""
-        if self._store is not None:
-            return len(self._store)
-        return len(self._reservoir)
+        return len(self._store)
 
     @property
     def items_seen(self) -> int:
@@ -178,20 +140,13 @@ class SequentialWeightedReservoir:
     @property
     def threshold(self) -> Optional[float]:
         """Current insertion threshold (largest key), ``None`` while filling."""
-        if self._store is not None:
-            return self._store.max_key() if len(self._store) >= self.k else None
-        return self._reservoir.max_key if self._reservoir.full else None
+        return self._store.max_key() if len(self._store) >= self.k else None
 
     # ------------------------------------------------------------------
-    def _process_store_batch(self, ids: np.ndarray, weights: np.ndarray) -> int:
-        """Vectorized batch path: dense keys, prefilter, one merge, truncate.
-
-        Returns the number of batch items that ended up *in* the reservoir
-        after the merge and capacity truncation (matching the classic
-        path's notion of "entered the reservoir", not merely "passed the
-        threshold prefilter").
-        """
+    def _ingest(self, ids: np.ndarray, weights: np.ndarray) -> int:
         keys = keymod.exponential_keys(weights, self._rng)
+        self._items_seen += ids.shape[0]
+        self._total_weight += float(weights.sum())
         inserted = ingest_keyed_batch(
             self._store,
             keys,
@@ -204,107 +159,54 @@ class SequentialWeightedReservoir:
         self._insertions += inserted
         return inserted
 
-    def insert(self, item_id: int, weight: float) -> bool:
-        """Process one item; returns ``True`` if it entered the reservoir."""
-        if self._store is not None:
-            weight = check_positive(weight, "weight")
-            self._items_seen += 1
-            self._total_weight += weight
-            return (
-                self._process_store_batch(
-                    np.array([item_id], dtype=np.int64), np.array([weight], dtype=np.float64)
-                )
-                > 0
-            )
-        weight = check_positive(weight, "weight")
-        self._items_seen += 1
-        self._total_weight += weight
-        if not self._reservoir.full:
-            key = float(-math.log(1.0 - self._rng.random()) / weight)
-            self._reservoir.push(key, int(item_id), weight)
-            self._insertions += 1
-            if self._reservoir.full:
-                self._weight_to_skip = keymod.weighted_skip(self._reservoir.max_key, self._rng)
-                self._skips_drawn += 1
-            return True
-        self._weight_to_skip -= weight
-        if self._weight_to_skip > 0.0:
-            return False
-        threshold = self._reservoir.max_key
-        key = keymod.weighted_key_below_threshold(weight, threshold, self._rng)
-        self._reservoir.replace_max(key, int(item_id), weight)
-        self._insertions += 1
-        self._weight_to_skip = keymod.weighted_skip(self._reservoir.max_key, self._rng)
-        self._skips_drawn += 1
-        return True
-
     def process(self, batch: ItemBatch) -> int:
-        """Process a whole batch; returns the number of insertions."""
-        if self._store is not None:
-            self._items_seen += len(batch)
-            self._total_weight += batch.total_weight
-            return self._process_store_batch(batch.ids, batch.weights)
-        before = self._insertions
-        for item_id, weight in zip(batch.ids.tolist(), batch.weights.tolist()):
-            self.insert(item_id, weight)
-        return self._insertions - before
+        """Process a whole batch; returns how many of its items entered the reservoir."""
+        return self._ingest(batch.ids, batch.weights)
+
+    def insert(self, item_id: int, weight: float) -> bool:
+        """Process one item as a batch of one; ``True`` if it entered the reservoir."""
+        ids = np.array([item_id], dtype=np.int64)
+        return self._ingest(ids, np.array([weight], dtype=np.float64)) > 0
 
     def extend(self, items: Iterable[Tuple[int, float]]) -> None:
-        """Process an iterable of ``(id, weight)`` pairs."""
-        for item_id, weight in items:
-            self.insert(item_id, weight)
+        """Process an iterable of ``(id, weight)`` pairs as one batch."""
+        pairs = list(items)
+        self.process(ItemBatch(ids=[i for i, _ in pairs], weights=[w for _, w in pairs]))
 
     # ------------------------------------------------------------------
     def sample(self) -> List[Tuple[int, float]]:
         """The current sample as ``(item id, weight)`` pairs (unordered)."""
-        if self._store is not None:
-            return [
-                (int(i), self._weights_by_id[int(i)]) for i in self._store.ids_array()
-            ]
-        return [(item_id, weight) for _, item_id, weight in self._reservoir.items()]
+        return [(int(i), self._weights_by_id[int(i)]) for i in self._store.ids_array()]
 
     def sample_ids(self) -> np.ndarray:
         """The current sample's item ids."""
-        if self._store is not None:
-            return self._store.ids_array()
-        return np.array([item_id for _, item_id, _ in self._reservoir.items()], dtype=np.int64)
+        return self._store.ids_array()
 
     def sample_with_keys(self) -> List[Tuple[float, int, float]]:
         """The current sample as ``(key, id, weight)`` triples."""
-        if self._store is not None:
-            return [
-                (key, int(item_id), self._weights_by_id[int(item_id)])
-                for key, item_id in self._store.items()
-            ]
-        return self._reservoir.items()
+        return [
+            (key, int(item_id), self._weights_by_id[int(item_id)])
+            for key, item_id in self._store.items()
+        ]
 
 
 class SequentialUniformReservoir:
-    """Uniform reservoir sampler with geometric jumps (Section 4.3).
-
-    As with :class:`SequentialWeightedReservoir`, passing ``store=`` selects
-    the vectorized mini-batch path over a pluggable reservoir store.
-    """
+    """Uniform reservoir sampler: the batch path of
+    :class:`SequentialWeightedReservoir` with uniform keys in ``(0, 1]``."""
 
     def __init__(
-        self, k: int, seed=None, *, store: Optional[str] = None, kernel_tier: str = "numpy"
+        self, k: int, seed=None, *, store: str = "merge", kernel_tier: str = "numpy"
     ) -> None:
         self.k = check_positive_int(k, "k")
         self._rng = ensure_generator(seed)
-        self.store = normalize_store_name(store) if store is not None else None
-        self._store: Optional[ReservoirStore] = (
-            make_store(store, kernel_tier=kernel_tier) if store is not None else None
-        )
-        self._reservoir = _ReservoirHeap(self.k)
+        self.store = normalize_store_name(store)
+        self._store: ReservoirStore = make_store(self.store, kernel_tier=kernel_tier)
         self._items_seen = 0
-        self._items_to_skip = 0
         self._insertions = 0
 
     @property
     def size(self) -> int:
-        if self._store is not None:
-            return len(self._store)
-        return len(self._reservoir)
+        return len(self._store)
 
     @property
     def items_seen(self) -> int:
@@ -316,68 +218,33 @@ class SequentialUniformReservoir:
 
     @property
     def threshold(self) -> Optional[float]:
-        if self._store is not None:
-            return self._store.max_key() if len(self._store) >= self.k else None
-        return self._reservoir.max_key if self._reservoir.full else None
+        return self._store.max_key() if len(self._store) >= self.k else None
 
     # ------------------------------------------------------------------
-    def _process_store_batch(self, ids: np.ndarray) -> int:
-        """Vectorized batch path: dense uniform keys, prefilter, merge.
-
-        As in the weighted sampler, the return value counts batch items
-        that ended up in the reservoir after the capacity truncation.
-        """
+    def _ingest(self, ids: np.ndarray) -> int:
         keys = keymod.uniform_keys(ids.shape[0], self._rng)
+        self._items_seen += ids.shape[0]
         inserted = ingest_keyed_batch(self._store, keys, ids, self.k, threshold=self.threshold)
         self._insertions += inserted
         return inserted
 
-    def insert(self, item_id: int) -> bool:
-        """Process one item; returns ``True`` if it entered the reservoir."""
-        if self._store is not None:
-            self._items_seen += 1
-            return self._process_store_batch(np.array([item_id], dtype=np.int64)) > 0
-        self._items_seen += 1
-        if not self._reservoir.full:
-            key = float(1.0 - self._rng.random())
-            self._reservoir.push(key, int(item_id), 1.0)
-            self._insertions += 1
-            if self._reservoir.full:
-                self._items_to_skip = keymod.geometric_skip(self._reservoir.max_key, self._rng)
-            return True
-        if self._items_to_skip > 0:
-            self._items_to_skip -= 1
-            return False
-        threshold = self._reservoir.max_key
-        key = keymod.uniform_key_below_threshold(threshold, self._rng)
-        self._reservoir.replace_max(key, int(item_id), 1.0)
-        self._insertions += 1
-        self._items_to_skip = keymod.geometric_skip(self._reservoir.max_key, self._rng)
-        return True
-
     def process(self, batch: ItemBatch) -> int:
-        """Process a batch (weights ignored); returns the number of insertions."""
-        if self._store is not None:
-            self._items_seen += len(batch)
-            return self._process_store_batch(batch.ids)
-        before = self._insertions
-        for item_id in batch.ids.tolist():
-            self.insert(item_id)
-        return self._insertions - before
+        """Process a batch (weights ignored); returns how many of its items entered."""
+        return self._ingest(batch.ids)
+
+    def insert(self, item_id: int) -> bool:
+        """Process one item as a batch of one; ``True`` if it entered the reservoir."""
+        return self._ingest(np.array([item_id], dtype=np.int64)) > 0
 
     def extend_ids(self, ids: Iterable[int]) -> None:
-        for item_id in ids:
-            self.insert(item_id)
+        """Process an iterable of ids as one batch."""
+        self._ingest(np.fromiter(ids, dtype=np.int64))
 
     def sample_ids(self) -> np.ndarray:
-        if self._store is not None:
-            return self._store.ids_array()
-        return np.array([item_id for _, item_id, _ in self._reservoir.items()], dtype=np.int64)
+        return self._store.ids_array()
 
     def sample_with_keys(self) -> List[Tuple[float, int, float]]:
-        if self._store is not None:
-            return [(key, int(item_id), 1.0) for key, item_id in self._store.items()]
-        return self._reservoir.items()
+        return [(key, int(item_id), 1.0) for key, item_id in self._store.items()]
 
 
 # ---------------------------------------------------------------------------

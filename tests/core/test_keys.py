@@ -54,55 +54,6 @@ class TestUniformKeys:
             keymod.uniform_keys(-1, rng)
 
 
-class TestScalarSkips:
-    def test_weighted_skip_is_exponential_with_rate_T(self, rng):
-        threshold = 0.5
-        skips = np.array([keymod.weighted_skip(threshold, rng) for _ in range(20_000)])
-        assert skips.mean() == pytest.approx(1.0 / threshold, rel=0.05)
-
-    def test_weighted_skip_requires_positive_threshold(self, rng):
-        with pytest.raises(ValueError):
-            keymod.weighted_skip(0.0, rng)
-
-    def test_weighted_key_below_threshold_is_below(self, rng):
-        for _ in range(500):
-            w = float(rng.uniform(0.1, 10.0))
-            t = float(rng.uniform(0.01, 5.0))
-            key = keymod.weighted_key_below_threshold(w, t, rng)
-            assert 0.0 < key <= t + 1e-12
-
-    def test_weighted_key_conditional_distribution(self, rng):
-        # conditional on being below T, the key must follow the truncated
-        # Exp(w) distribution; check via the conditional CDF at T/2
-        w, t = 2.0, 0.8
-        keys = np.array([keymod.weighted_key_below_threshold(w, t, rng) for _ in range(20_000)])
-        expected = (1 - math.exp(-w * t / 2)) / (1 - math.exp(-w * t))
-        observed = np.mean(keys <= t / 2)
-        assert observed == pytest.approx(expected, abs=0.02)
-
-    def test_geometric_skip_distribution(self, rng):
-        t = 0.25
-        skips = np.array([keymod.geometric_skip(t, rng) for _ in range(20_000)])
-        assert np.all(skips >= 0)
-        # geometric with success probability t has mean (1-t)/t
-        assert skips.mean() == pytest.approx((1 - t) / t, rel=0.06)
-
-    def test_geometric_skip_threshold_one(self, rng):
-        assert keymod.geometric_skip(1.0, rng) == 0
-
-    def test_geometric_skip_invalid_threshold(self, rng):
-        with pytest.raises(ValueError):
-            keymod.geometric_skip(0.0, rng)
-        with pytest.raises(ValueError):
-            keymod.geometric_skip(1.5, rng)
-
-    def test_uniform_key_below_threshold(self, rng):
-        keys = np.array([keymod.uniform_key_below_threshold(0.3, rng) for _ in range(5000)])
-        assert np.all(keys > 0) and np.all(keys <= 0.3)
-        # uniform in (0, 0.3]
-        assert keys.mean() == pytest.approx(0.15, abs=0.01)
-
-
 class TestWeightedJumpKernel:
     def test_returned_keys_below_threshold(self, rng):
         weights = rng.uniform(0.1, 10.0, size=5000)

@@ -6,6 +6,17 @@ import pytest
 from repro.core import SequentialUniformReservoir, SequentialWeightedReservoir
 from repro.core.sequential import dense_uniform_sample, dense_weighted_sample
 from repro.stream import ItemBatch
+from repro.window import DecayedReservoir
+
+
+class _PeakSizeDict(dict):
+    """A dict that remembers the most entries it ever held."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
 
 
 class TestWeightedReservoirBasics:
@@ -230,6 +241,23 @@ class TestStoreBackedSequentialSamplers:
         assert sampler.size == 3
         assert sampler.items_seen == 10
 
+    def test_items_one_at_a_time_equal_one_batch(self):
+        """insert() is a batch of one on the same path: feeding item by item
+        draws the same keys and keeps the same sample as one batch."""
+        weights = np.random.default_rng(3).uniform(0.5, 4.0, 500)
+        by_item = SequentialWeightedReservoir(k=10, seed=3)
+        for item_id, weight in enumerate(weights.tolist()):
+            by_item.insert(item_id, weight)
+        by_batch = SequentialWeightedReservoir(k=10, seed=3)
+        by_batch.process(ItemBatch(ids=np.arange(500), weights=weights))
+        assert by_item.sample_with_keys() == by_batch.sample_with_keys()
+        uniform_by_item = SequentialUniformReservoir(k=10, seed=3)
+        for item_id in range(500):
+            uniform_by_item.insert(item_id)
+        uniform_by_batch = SequentialUniformReservoir(k=10, seed=3)
+        uniform_by_batch.extend_ids(range(500))
+        assert uniform_by_item.sample_with_keys() == uniform_by_batch.sample_with_keys()
+
     def test_unknown_store_rejected(self):
         with pytest.raises(ValueError):
             SequentialWeightedReservoir(k=5, store="skiplist")
@@ -251,3 +279,22 @@ class TestStoreBackedSequentialSamplers:
         )
         assert 0 <= later <= 20
         assert sampler.insertions == first + later
+
+    @pytest.mark.parametrize("make", [
+        lambda: SequentialWeightedReservoir(k=20, seed=4),
+        lambda: DecayedReservoir(20, 0.999, seed=4),
+    ], ids=["sequential", "decayed"])
+    def test_first_batch_records_only_the_sampled_weights(self, make):
+        """Regression: the first batch has no threshold, so every item passes
+        the prefilter; only the k items that survive the truncation may get a
+        weight entry, or peak memory grows with the batch size."""
+        rng = np.random.default_rng(8)
+        weights = rng.uniform(0.5, 2.0, 10_000)
+        sampler = make()
+        sampler._weights_by_id = recorded = _PeakSizeDict()
+        sampler.process(ItemBatch(ids=np.arange(10_000), weights=weights))
+        assert recorded.peak <= 20
+        sample = sampler.sample()
+        assert len(sample) == 20
+        for item_id, weight in sample:
+            assert weight == weights[item_id]

@@ -7,12 +7,14 @@ algorithm produces genuine weighted/uniform samples without replacement:
 * empirical inclusion frequencies compared against the dense reference
   sampler (chi-square and total-variation checks),
 * uniform samplers: inclusion probability ``k / n`` for every item,
+* the sequential sampler fed in several batches, against the same bounds,
 * agreement between the jump kernels and the dense kernels.
 
 All tests use fixed seeds and generous tolerances so they are deterministic,
-and every distributed trial is exercised under both reservoir store
-backends ("btree" and "merge") via the module-level ``store`` fixture —
-the sampling distribution must not depend on the storage data structure.
+and every distributed and sequential trial is exercised under both
+reservoir store backends ("btree" and "merge") via the module-level
+``store`` fixture — the sampling distribution must not depend on the
+storage data structure.
 """
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.core import (
     CentralizedGatherSampler,
     DistributedReservoirSampler,
     DistributedUniformReservoirSampler,
+    ReservoirSampler,
 )
 from repro.network import SimComm
 from repro.stream import ItemBatch, partition_random
@@ -45,6 +48,18 @@ def run_distributed_trial(sampler_factory, ids, weights, p, rounds, seed):
     for chunk in chunks:
         parts = partition_random(batch.take(chunk), p, rng)
         sampler.process_round(parts)
+    return sampler.sample_ids()
+
+
+def run_sequential_trial(sampler_factory, ids, weights, rounds, seed):
+    """Stream the (ids, weights) items through a sequential sampler in
+    ``rounds`` batches, so every batch after the first is prefiltered
+    against the threshold the earlier ones set."""
+    rng = np.random.default_rng(seed)
+    sampler = sampler_factory(seed)
+    batch = ItemBatch(ids=ids, weights=weights)
+    for chunk in np.array_split(rng.permutation(len(ids)), rounds):
+        sampler.feed_batch(batch.take(chunk))
     return sampler.sample_ids()
 
 
@@ -121,6 +136,22 @@ class TestInclusionFrequenciesAgainstReference:
         heavy, light = np.argmax(weights), np.argmin(weights)
         assert observed[heavy] > observed[light]
 
+    def test_sequential_matches_dense_reference(self, weighted_setup, store):
+        ids, weights = weighted_setup
+        k = 6
+        counts = np.zeros(N_ITEMS)
+        for seed in range(TRIALS):
+            sample = run_sequential_trial(
+                lambda s: ReservoirSampler(k, seed=s, store=store),
+                ids, weights, ROUNDS, seed,
+            )
+            counts[sample] += 1
+        observed = counts / TRIALS
+        reference = weighted_inclusion_reference(weights, k, trials=4000, rng=np.random.default_rng(6))
+        assert total_variation_distance(observed, reference) < 0.06
+        heavy, light = np.argmax(weights), np.argmin(weights)
+        assert observed[heavy] > observed[light]
+
     def test_gather_matches_dense_reference(self, weighted_setup, store):
         ids, weights = weighted_setup
         k = 6
@@ -164,6 +195,23 @@ class TestUniformSampling:
             sample = run_distributed_trial(
                 lambda s: DistributedUniformReservoirSampler(k, SimComm(P), seed=s, store=store),
                 ids, weights, P, ROUNDS, seed,
+            )
+            counts[sample] += 1
+        freq = counts / TRIALS
+        expected = np.full(N_ITEMS, k / N_ITEMS)
+        np.testing.assert_allclose(freq, expected, atol=0.08)
+        statistic, dof = chi_square_statistic(counts, expected, TRIALS)
+        assert statistic < stats.chi2.ppf(0.9999, dof)
+
+    def test_sequential_uniform_inclusion_probability_is_k_over_n(self, store):
+        ids = np.arange(N_ITEMS)
+        weights = np.ones(N_ITEMS)
+        k = 6
+        counts = np.zeros(N_ITEMS)
+        for seed in range(TRIALS):
+            sample = run_sequential_trial(
+                lambda s: ReservoirSampler(k, weighted=False, seed=s, store=store),
+                ids, weights, ROUNDS, seed,
             )
             counts[sample] += 1
         freq = counts / TRIALS
