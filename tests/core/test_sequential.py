@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import SequentialUniformReservoir, SequentialWeightedReservoir
-from repro.core.sequential import dense_uniform_sample, dense_weighted_sample
+from repro.core.sequential import (
+    dense_uniform_sample,
+    dense_weighted_sample,
+    ingest_keyed_batch,
+)
+from repro.core.store import make_store
 from repro.stream import ItemBatch
 from repro.window import DecayedReservoir
 
@@ -298,3 +303,67 @@ class TestStoreBackedSequentialSamplers:
         assert len(sample) == 20
         for item_id, weight in sample:
             assert weight == weights[item_id]
+
+    @pytest.mark.parametrize("make, insert", [
+        (lambda: SequentialWeightedReservoir(k=3, seed=6),
+         lambda sampler, item_id: sampler.insert(item_id, 1.0 + item_id % 5)),
+        (lambda: SequentialUniformReservoir(k=3, seed=6),
+         lambda sampler, item_id: sampler.insert(item_id)),
+    ], ids=["weighted", "uniform"])
+    def test_insert_reports_whether_the_item_was_kept(self, make, insert):
+        sampler = make()
+        kept = 0
+        for item_id in range(300):
+            entered = insert(sampler, item_id)
+            assert entered == (item_id in sampler.sample_ids().tolist())
+            kept += entered
+        assert sampler.insertions == kept
+        assert 3 < kept < 300
+
+
+class TestIngestKeyedBatch:
+    """The shared prefilter/merge/truncate step behind every sequential batch."""
+
+    def test_prefilter_drops_keys_at_or_above_threshold(self):
+        store = make_store("merge")
+        keys = np.array([0.1, 0.5, 0.5, 0.9])
+        inserted = ingest_keyed_batch(store, keys, np.arange(4), 3, threshold=0.5)
+        assert inserted == 1
+        assert store.ids_array().tolist() == [0]
+
+    def test_counts_only_items_that_survive_truncation(self):
+        store = make_store("merge")
+        first = ingest_keyed_batch(store, np.array([0.4, 0.2, 0.6, 0.8]), np.arange(4), 3)
+        assert first == 3
+        assert store.ids_array().tolist() == [1, 0, 2]
+        later = ingest_keyed_batch(
+            store, np.array([0.1, 0.5, 0.7]), np.array([10, 11, 12]), 3,
+            threshold=store.max_key(),
+        )
+        assert later == 1  # 0.7 is prefiltered, 0.5 is merged and then evicted
+        assert store.ids_array().tolist() == [10, 1, 0]
+
+    def test_weight_bookkeeping_requires_weights(self):
+        with pytest.raises(ValueError):
+            ingest_keyed_batch(
+                make_store("merge"), np.array([0.3]), np.array([0]), 2, weights_by_id={}
+            )
+
+    def test_weight_map_is_pruned_to_the_stored_ids(self):
+        k = 2
+        store, weights_by_id = make_store("merge"), {}
+        for i in range(100):
+            ids = np.array([2 * i, 2 * i + 1])
+            # every batch holds the two smallest keys so far, so both enter
+            keys = 1.0 / (ids + 2.0)
+            threshold = store.max_key() if len(store) >= k else None
+            entered = ingest_keyed_batch(
+                store, keys, ids, k, threshold=threshold,
+                weights=ids + 1.0, weights_by_id=weights_by_id,
+            )
+            assert entered == 2
+            assert len(weights_by_id) <= 4 * k + 64
+        stored = store.ids_array().tolist()
+        assert stored == [199, 198]
+        for item_id in stored:
+            assert weights_by_id[item_id] == item_id + 1.0
