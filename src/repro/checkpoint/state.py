@@ -49,6 +49,7 @@ _DRIVER_FIELDS = (
     "_total_weight",
     "_round",
     "_has_worker_stream",
+    "_threshold_settled",
     # variable-size sampler
     "selections_run",
     "rounds_without_selection",
@@ -110,8 +111,12 @@ def restore_sampler(sampler, snapshot: Dict[str, object]) -> None:
         pe_kernels.import_pe_state_kernel,
         [(pe_snapshot,) for pe_snapshot in per_pe],
     )
-    for name, value in snapshot["driver"].items():
+    driver = snapshot["driver"]
+    for name, value in driver.items():
         setattr(sampler, name, value)
+    if hasattr(sampler, "_threshold_settled") and "_threshold_settled" not in driver:
+        # a snapshot without the flag: tighten once more before skipping
+        sampler._threshold_settled = False
     root = snapshot.get("root_reservoir")
     if root is not None:
         from repro.core.store import make_store

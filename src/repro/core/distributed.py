@@ -14,6 +14,12 @@ known to all PEs and stays fixed while a mini-batch is processed:
 3. **threshold** — the selected key is established as the new ``T`` via an
    all-reduction and every PE prunes its local reservoir with a ``splitAt``.
 
+Steps 2 and 3 are skipped when they cannot change anything: if ``T`` is
+already the largest of exactly ``k`` keys and the all-reduced candidate
+count is still ``k``, no PE inserted anything and ``T`` stays.  Once
+``n >> k`` most rounds are such no-insert rounds, which then cost the
+insert kernels plus one SUM all-reduction.
+
 The union of the local reservoirs is then a weighted (or uniform) sample
 without replacement of size ``min(k, n)`` of everything seen so far.  No PE
 plays a special role.
@@ -306,6 +312,10 @@ class DistributedReservoirSampler:
         )
         self._has_worker_stream = False
         self.threshold: Optional[float] = None
+        #: ``True`` while ``threshold`` is the largest key of a union of
+        #: exactly ``k`` keys — then a round whose all-reduced total is
+        #: still ``k`` inserted nothing and needs no tighten/prune
+        self._threshold_settled = False
         self._items_seen = 0
         self._total_weight = 0.0
         self._round = 0
@@ -401,6 +411,8 @@ class DistributedReservoirSampler:
         self._items_seen = int(items_seen)
         self._total_weight = float(total_weight)
         self.threshold = float(threshold) if threshold is not None else None
+        # an arbitrary threshold need not be the union's max key
+        self._threshold_settled = False
 
     def attach_worker_stream(
         self,
@@ -440,25 +452,13 @@ class DistributedReservoirSampler:
         """Process one mini-batch round (one batch per PE)."""
         if len(batches) != self.p:
             raise ValueError(f"expected {self.p} batches (one per PE), got {len(batches)}")
-        clock = PhaseClock(self.p)
-        phase_comm_before = self.comm.ledger.time_by_phase()
-        threshold_was_set = self.threshold is not None
-
-        with self.comm.phase("insert"):
-            results = self.comm.run_per_pe(
-                self._handle,
-                pe_kernels.insert_batch_kernel,
-                [
-                    (batch.ids, batch.weights, self.threshold, self.weighted, self.local_thresholding)
-                    for batch in batches
-                ],
-            )
-        batch_sizes = [len(batch) for batch in batches]
-        insertions, sizes = self._charge_insert_work(clock, results, batch_sizes, threshold_was_set)
-        batch_items = sum(batch_sizes)
-        self._items_seen += batch_items
-        self._total_weight += sum(batch.total_weight for batch in batches)
-        return self._finish_round(clock, phase_comm_before, batch_items, insertions, sizes)
+        return self._insert_round(
+            pe_kernels.insert_batch_kernel,
+            [
+                (batch.ids, batch.weights, self.threshold, self.weighted, self.local_thresholding)
+                for batch in batches
+            ],
+        )
 
     def process_stream_round(self) -> RoundMetrics:
         """Process one round whose batches are generated worker-locally.
@@ -470,44 +470,41 @@ class DistributedReservoirSampler:
         """
         if not self._has_worker_stream:
             raise RuntimeError("no worker stream attached; call attach_worker_stream() first")
-        clock = PhaseClock(self.p)
-        phase_comm_before = self.comm.ledger.time_by_phase()
-        threshold_was_set = self.threshold is not None
-
-        with self.comm.phase("insert"):
-            results = self.comm.run_per_pe(
-                self._handle,
-                pe_kernels.stream_insert_kernel,
-                [(self.threshold, self.weighted, self.local_thresholding)] * self.p,
-            )
-        batch_sizes = [r[3] for r in results]
-        insert_results = [r[:3] for r in results]
-        insertions, sizes = self._charge_insert_work(
-            clock, insert_results, batch_sizes, threshold_was_set
+        return self._insert_round(
+            pe_kernels.stream_insert_kernel,
+            [(self.threshold, self.weighted, self.local_thresholding)] * self.p,
         )
-        batch_items = sum(batch_sizes)
-        self._items_seen += batch_items
-        self._total_weight += sum(r[4] for r in results)
-        return self._finish_round(clock, phase_comm_before, batch_items, insertions, sizes)
 
     # ------------------------------------------------------------------
     # round phases
     # ------------------------------------------------------------------
-    def _charge_insert_work(
+    def _insert_round(self, kernel, per_pe_args: Sequence[tuple]) -> RoundMetrics:
+        """One full round whose insert phase is ``kernel`` on every PE."""
+        clock = PhaseClock(self.p)
+        phase_comm_before = self.comm.ledger.time_by_phase()
+        threshold_was_set = self.threshold is not None
+        with self.comm.phase("insert"):
+            results = self.comm.run_per_pe(self._handle, kernel, per_pe_args)
+        batch_items, insertions, sizes = self._account_insert(clock, results, threshold_was_set)
+        return self._finish_round(clock, phase_comm_before, batch_items, insertions, sizes)
+
+    def _account_insert(
         self,
         clock: PhaseClock,
-        results: Sequence[Tuple[int, int, int]],
-        batch_sizes: Sequence[int],
+        results: Sequence[Tuple[int, int, int, int, float]],
         threshold_was_set: bool,
-    ) -> Tuple[List[int], List[int]]:
-        """Charge the insert phase from the kernel results.
+    ) -> Tuple[int, List[int], List[int]]:
+        """Charge the insert phase from the insert kernels' results.
 
-        Returns ``(insertions, sizes)``: per-PE insertion counts and
-        post-insert reservoir sizes.
+        ``results`` are the per-PE ``(inserted, pruned, size, batch_items,
+        batch_weight)`` tuples; the batches are added to the items and
+        weight seen.  Returns ``(batch_items, insertions, sizes)``: the
+        round's item count, per-PE insertion counts and post-insert
+        reservoir sizes.
         """
         insertions: List[int] = []
         sizes: List[int] = []
-        for pe, ((inserted, pruned, size), b) in enumerate(zip(results, batch_sizes)):
+        for pe, (inserted, pruned, size, b, _weight) in enumerate(results):
             insertions.append(int(inserted))
             sizes.append(int(size))
             if b == 0:
@@ -531,7 +528,10 @@ class DistributedReservoirSampler:
                     + self.machine.tree_op_time(inserted, max(size, 1))
                 )
             clock.charge("insert", pe, time)
-        return insertions, sizes
+        batch_items = sum(int(r[3]) for r in results)
+        self._items_seen += batch_items
+        self._total_weight += sum(float(r[4]) for r in results)
+        return batch_items, insertions, sizes
 
     def _finish_round(
         self,
@@ -550,8 +550,8 @@ class DistributedReservoirSampler:
         if update.result is not None:
             self._charge_selection_work(clock, update.result, sizes)
         if update.threshold is not None:
-            # A ThresholdUpdate without a boundary (total below k) leaves
-            # the previous threshold in place — nothing tightened it.
+            # A ThresholdUpdate without a boundary (total below k, or a
+            # settled threshold) leaves the previous threshold in place.
             self.threshold = update.threshold
             with self.comm.phase("threshold"):
                 prune_results = self.comm.run_per_pe(
@@ -560,6 +560,12 @@ class DistributedReservoirSampler:
             for pe, (size_before, size_after) in enumerate(prune_results):
                 clock.charge("threshold", pe, self.machine.tree_op_time(2, size_before))
             sizes = [int(size_after) for _, size_after in prune_results]
+            # the agreed key is one of the union's keys and the prune kept
+            # exactly the keys at or below it, so it is the union's max
+            self._threshold_settled = sum(sizes) == self.k
+        else:
+            # settled stays settled only while nothing was inserted
+            self._threshold_settled = self._threshold_settled and total_candidates == self.k
 
         self._round += 1
         return self._build_metrics(
@@ -583,7 +589,17 @@ class DistributedReservoirSampler:
         single all-reduction.  The comm-backed keyset draws pivot proposals
         from the worker-held per-PE generators, so no driver-side generator
         is involved.
+
+        A settled threshold is already the max key of exactly ``k`` keys.
+        The insert phase only adds keys, so a total of ``k`` means no PE
+        inserted anything: the union and its max are unchanged, and
+        tightening would agree on the same threshold and prune nothing.
+        Such a round keeps the threshold without calling the engine.  The
+        decision reads only the all-reduced ``total`` and driver state, so
+        it is the same on every backend.
         """
+        if self._threshold_settled and total == self.k:
+            return ThresholdUpdate(threshold=None, total=total, action="none")
         return engine.threshold_update(self.k, total=total)
 
     def _charge_selection_work(

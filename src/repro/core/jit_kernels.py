@@ -289,14 +289,16 @@ def jump_positions(
     tier: str,
     weights: Optional[np.ndarray] = None,
     count: int = 0,
+    weight_sum: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Tier dispatcher for the below-threshold jump traversal.
 
     The single entry point the PE kernels use for steady-state ingestion:
     ``tier`` must already be resolved (``"numpy"`` or ``"jit"``).  Weighted
-    calls pass the batch ``weights``; uniform calls pass the item
-    ``count``.  Both tiers consume the random stream identically, so the
-    returned ``(indices, keys)`` are byte-identical.
+    calls pass the batch ``weights`` (and, when known, ``weight_sum =
+    weights.sum()`` for the numpy tier's clearance check); uniform calls
+    pass the item ``count``.  Both tiers consume the random stream
+    identically, so the returned ``(indices, keys)`` are byte-identical.
     """
     from repro.core import keys as keymod
 
@@ -306,7 +308,7 @@ def jump_positions(
         if tier == "jit":
             keymod.check_jump_arguments(weights, threshold)
             return weighted_jump_positions_jit(weights, threshold, rng)
-        return keymod.weighted_jump_positions(weights, threshold, rng)
+        return keymod.weighted_jump_positions(weights, threshold, rng, weight_sum=weight_sum)
     if tier == "jit":
         keymod.check_uniform_jump_arguments(count, threshold)
         return uniform_jump_positions_jit(count, threshold, rng)

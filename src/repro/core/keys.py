@@ -26,12 +26,21 @@ mini-batch).  The jump kernel walks the cumulative weights with
 ``searchsorted``, which is exactly the exponential-jumps traversal —
 including the Section-5 optimisation of skipping whole blocks of items at
 once — expressed as array operations.
+
+Once ``n >> k`` most batches hold no insertion at all: the first skip
+already exceeds the batch's total weight.  The kernel therefore draws the
+first skip before building the prefix sum and compares it with
+:func:`jump_clearance_bound`, an upper bound on the left-to-right total
+derived from the cheap pairwise ``weights.sum()``.  A skip that clears the
+bound ends the traversal with one ``sum`` instead of a ``cumsum``; the
+random draws and every decision are the same as with the eager prefix
+sum.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +52,7 @@ __all__ = [
     "uniform_keys",
     "check_jump_arguments",
     "check_uniform_jump_arguments",
+    "jump_clearance_bound",
     "weighted_jump_positions",
     "uniform_jump_positions",
     "dense_weighted_candidates",
@@ -50,6 +60,7 @@ __all__ = [
 ]
 
 _TINY = np.finfo(np.float64).tiny
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _rand_open(rng: np.random.Generator, size=None):
@@ -105,8 +116,24 @@ def check_uniform_jump_arguments(count: int, threshold: float) -> int:
     return int(count)
 
 
+def jump_clearance_bound(weight_sum: float, n: int) -> float:
+    """Upper bound on ``np.cumsum(w)[-1]`` from ``weight_sum = w.sum()``.
+
+    For ``n`` positive weights with exact sum ``S``, every summation
+    order made of ``n - 1`` additions lands within a relative
+    ``gamma = (n-1)u / (1 - (n-1)u)`` of ``S`` (``u = eps/2``).  That holds
+    for numpy's pairwise ``sum`` ``s`` and for the left-to-right ``cumsum``
+    total ``c`` alike, so
+    ``c <= s (1+gamma)/(1-gamma) = s / (1 - (n-1) eps) <= s (1 + 2(n-1) eps)``
+    while ``(n-1) eps <= 1/2``.  The margin ``4 n eps`` leaves more than
+    ``2 eps`` of slack for the two roundings of the product below.  An
+    overflowing sum gives ``inf``, which no skip clears.
+    """
+    return weight_sum * (1.0 + 4.0 * n * _EPS)
+
+
 def weighted_jump_positions(
-    weights: np.ndarray, threshold: float, rng=None
+    weights: np.ndarray, threshold: float, rng=None, *, weight_sum: Optional[float] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exponential-jumps traversal of a batch under a fixed threshold.
 
@@ -116,11 +143,22 @@ def weighted_jump_positions(
     seen, so the per-jump ``searchsorted`` on the cumulative weights keeps
     the whole batch scan at ``O(b)`` vectorised work plus
     ``O(#insertions * log b)``.
+
+    The first skip is drawn before the prefix sum: when it exceeds
+    :func:`jump_clearance_bound` of the batch, no item is accepted and
+    the ``cumsum`` is never built.  ``weight_sum`` is the batch's
+    ``weights.sum()`` when the caller has already computed it (the PE
+    insert kernel reports it as the batch weight).
     """
     weights = check_jump_arguments(weights, threshold)
     rng = ensure_generator(rng)
     n = weights.shape[0]
     if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    if weight_sum is None:
+        weight_sum = float(weights.sum())
+    skip = -math.log(_rand_open(rng)) / threshold
+    if skip > jump_clearance_bound(weight_sum, n):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     cumulative = np.cumsum(weights)
     total = float(cumulative[-1])
@@ -128,7 +166,6 @@ def weighted_jump_positions(
     keys = []
     consumed = 0.0
     while True:
-        skip = -math.log(_rand_open(rng)) / threshold
         target = consumed + skip
         if target > total or not np.isfinite(target):
             break
@@ -144,6 +181,7 @@ def weighted_jump_positions(
         consumed = float(cumulative[j])
         if j == n - 1:
             break
+        skip = -math.log(_rand_open(rng)) / threshold
     return np.asarray(indices, dtype=np.int64), np.asarray(keys, dtype=np.float64)
 
 

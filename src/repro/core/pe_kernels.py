@@ -215,20 +215,28 @@ def _state_tracer(state: Dict[str, object]):
     return tracer if tracer is not None else NULL_TRACER
 
 
-@contextlib.contextmanager
+#: the shared context of unmonitored kernels (nullcontext is reusable)
+_NO_BEAT = contextlib.nullcontext()
+
+
 def _beat_phase(state: Dict[str, object], phase: str, items: int = 0, *, bump_round: bool = False):
     """Bracket a kernel's phase work with heartbeats when monitoring is on.
 
     No-op (no beat channel in the state) unless a
     :class:`~repro.obs.health.HealthMonitor` installed one — so like the
-    tracer stub this costs a dict lookup on unmonitored runs and never
-    touches any random generator.  ``bump_round`` marks the once-per-round
-    ingestion kernels, giving each rank its own live round counter.
+    tracer stub this costs a dict lookup on unmonitored runs (and returns
+    one shared context, building nothing) and never touches any random
+    generator.  ``bump_round`` marks the once-per-round ingestion kernels,
+    giving each rank its own live round counter.
     """
     beat = state.get("beat")
     if beat is None:
-        yield
-        return
+        return _NO_BEAT
+    return _beats(beat, phase, items, bump_round)
+
+
+@contextlib.contextmanager
+def _beats(beat, phase: str, items: int, bump_round: bool):
     beat.begin(phase)
     try:
         yield
@@ -251,12 +259,14 @@ def _jump_positions(
     threshold: float,
     weighted: bool,
     rng: np.random.Generator,
+    weight_sum: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Below-threshold jump traversal under the state's kernel tier.
 
     Single dispatch point of the steady-state hot path: the numpy reference
     kernels and the compiled tier consume ``rng`` identically, so the
-    returned ``(indices, keys)`` do not depend on the tier.
+    returned ``(indices, keys)`` do not depend on the tier.  ``weight_sum``
+    is ``weights.sum()`` when the caller already has it.
     """
     return jit_kernels.jump_positions(
         threshold,
@@ -265,6 +275,7 @@ def _jump_positions(
         tier=str(state.get("kernel_tier", "numpy")),
         weights=weights if weighted else None,
         count=0 if weighted else weights.shape[0],
+        weight_sum=weight_sum,
     )
 
 
@@ -313,6 +324,7 @@ def _insert_with_threshold(
     weights: np.ndarray,
     threshold: float,
     weighted: bool,
+    weight_sum: float,
 ) -> Tuple[int, int]:
     """Steady-state ingestion under the fixed global threshold.
 
@@ -321,7 +333,7 @@ def _insert_with_threshold(
     """
     reservoir: LocalReservoir = state["reservoir"]
     rng: np.random.Generator = state["rng"]
-    idx, keys = _jump_positions(state, weights, threshold, weighted, rng)
+    idx, keys = _jump_positions(state, weights, threshold, weighted, rng, weight_sum)
     inserted = reservoir.insert_batch(keys, ids[idx])
     return inserted, 0
 
@@ -333,18 +345,28 @@ def insert_batch_kernel(
     threshold: Optional[float],
     weighted: bool,
     local_thresholding: bool,
-) -> Tuple[int, int, int]:
-    """Ingest one mini-batch; returns ``(inserted, pruned, reservoir_size)``."""
-    if ids.shape[0] == 0:
-        return 0, 0, len(state["reservoir"])
-    with _beat_phase(state, "insert", int(ids.shape[0]), bump_round=True), _state_tracer(
-        state
-    ).span("insert", cat="kernel", items=int(ids.shape[0])):
+) -> Tuple[int, int, int, int, float]:
+    """Ingest one mini-batch.
+
+    Returns ``(inserted, pruned, reservoir_size, batch_items,
+    batch_weight)``.  ``batch_weight`` is ``weights.sum()``, bit-equal to
+    :attr:`~repro.stream.items.ItemBatch.total_weight`; the weighted jump
+    traversal reuses it for its prefix-sum clearance check.
+    """
+    b = int(ids.shape[0])
+    if b == 0:
+        return 0, 0, len(state["reservoir"]), 0, 0.0
+    with _beat_phase(state, "insert", b, bump_round=True), _state_tracer(state).span(
+        "insert", cat="kernel", items=b
+    ):
+        batch_weight = float(weights.sum())
         if threshold is None:
             inserted, pruned = _insert_without_threshold(state, ids, weights, weighted, local_thresholding)
         else:
-            inserted, pruned = _insert_with_threshold(state, ids, weights, threshold, weighted)
-    return inserted, pruned, len(state["reservoir"])
+            inserted, pruned = _insert_with_threshold(
+                state, ids, weights, threshold, weighted, batch_weight
+            )
+    return inserted, pruned, len(state["reservoir"]), b, batch_weight
 
 
 def stream_insert_kernel(
@@ -355,13 +377,13 @@ def stream_insert_kernel(
 ) -> Tuple[int, int, int, int, float]:
     """Generate the next batch from the worker-local stream shard and ingest it.
 
-    Returns ``(inserted, pruned, reservoir_size, batch_items, batch_weight)``.
+    Returns :func:`insert_batch_kernel`'s ``(inserted, pruned,
+    reservoir_size, batch_items, batch_weight)``.
     """
     batch = _require_stream(state).next_batch()
-    inserted, pruned, size = insert_batch_kernel(
+    return insert_batch_kernel(
         state, batch.ids, batch.weights, threshold, weighted, local_thresholding
     )
-    return inserted, pruned, size, len(batch), float(batch.total_weight)
 
 
 # ---------------------------------------------------------------------------

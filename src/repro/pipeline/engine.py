@@ -305,15 +305,11 @@ class UnboundedPipelineEngine(_PipelineEngineBase):
                 pe_kernels.stream_insert_kernel,
                 [(sampler.threshold, sampler.weighted, sampler.local_thresholding)] * self.p,
             )
-        batch_sizes = [int(r[3]) for r in results]
-        insertions, sizes = sampler._charge_insert_work(
-            clock, [r[:3] for r in results], batch_sizes, threshold_was_set=True
+        batch_items, insertions, sizes = sampler._account_insert(
+            clock, results, threshold_was_set=True
         )
-        for pe, b in enumerate(batch_sizes):
-            clock.charge("prepare", pe, sampler.machine.key_gen_time(max(b, 1)))
-        batch_items = sum(batch_sizes)
-        sampler._items_seen += batch_items
-        sampler._total_weight += sum(float(r[4]) for r in results)
+        for pe, r in enumerate(results):
+            clock.charge("prepare", pe, sampler.machine.key_gen_time(max(int(r[3]), 1)))
 
         # prefetch the next batch; runs while the selection below executes
         self._apply_batch_size_change()

@@ -41,13 +41,16 @@ class WeightGenerator(abc.ABC):
     def generate(
         self, size: int, rng: np.random.Generator, *, pe: int = 0, round_index: int = 0
     ) -> np.ndarray:
-        """Return ``size`` strictly positive weights for PE ``pe`` in the given round."""
+        """Return ``size`` strictly positive weights for PE ``pe`` in the given round.
+
+        The result should be a new array: :meth:`__call__` clamps it in place.
+        """
 
     def __call__(
         self, size: int, rng: np.random.Generator, *, pe: int = 0, round_index: int = 0
     ) -> np.ndarray:
-        weights = self.generate(size, rng, pe=pe, round_index=round_index)
-        return np.maximum(np.asarray(weights, dtype=np.float64), _MIN_WEIGHT)
+        weights = np.asarray(self.generate(size, rng, pe=pe, round_index=round_index), dtype=np.float64)
+        return np.maximum(weights, _MIN_WEIGHT, out=weights)
 
 
 class UniformWeightGenerator(WeightGenerator):
@@ -63,9 +66,13 @@ class UniformWeightGenerator(WeightGenerator):
 
     def generate(self, size, rng, *, pe=0, round_index=0):
         # Map the half-open [0, 1) deviate to (low, high] so a weight of
-        # exactly ``low`` (possibly zero) never occurs.
-        u = 1.0 - rng.random(size)
-        return self.low + u * (self.high - self.low)
+        # exactly ``low`` (possibly zero) never occurs.  In place, with the
+        # same operations in the same order as ``low + (1 - u) * (high - low)``.
+        u = rng.random(size)
+        np.subtract(1.0, u, out=u)
+        u *= self.high - self.low
+        u += self.low
+        return u
 
     def __repr__(self) -> str:
         return f"UniformWeightGenerator(low={self.low}, high={self.high})"

@@ -57,12 +57,18 @@ def check_probability(value: float, name: str, *, allow_zero: bool = False, allo
 
 
 def check_weights(weights: np.ndarray, name: str = "weights") -> np.ndarray:
-    """Validate an array of item weights: finite and strictly positive."""
+    """Validate an array of item weights: finite and strictly positive.
+
+    The common (valid) case costs one ``min`` and one ``max`` reduction:
+    NaN propagates through both, so ``min > 0 and max < inf`` holds
+    exactly for finite positive weights.  Only a failing array is
+    re-scanned to pick the message (non-finite takes precedence).
+    """
     arr = np.asarray(weights, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    if arr.size and np.any(arr <= 0.0):
+    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
         raise ValueError(f"{name} must be strictly positive")
     return arr

@@ -174,3 +174,116 @@ def test_jump_positions_are_sorted_unique_and_keys_below_threshold(weights, thre
     assert np.all(np.diff(idx) > 0)
     assert np.all(keys < threshold)
     assert np.all(idx < len(weights))
+
+
+# ---------------------------------------------------------------------------
+# prefix sum only when needed: differential test against the eager traversal
+# ---------------------------------------------------------------------------
+def _eager_cumsum_jump_positions(weights, threshold, rng):
+    """Reference traversal that always builds the prefix sum first."""
+    n = weights.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    cumulative = np.cumsum(weights)
+    total = float(cumulative[-1])
+    indices = []
+    keys = []
+    consumed = 0.0
+    while True:
+        skip = -math.log(1.0 - rng.random()) / threshold
+        target = consumed + skip
+        if target > total or not np.isfinite(target):
+            break
+        j = int(np.searchsorted(cumulative, target, side="left"))
+        if j >= n:
+            break
+        w = float(weights[j])
+        lower = math.exp(-threshold * w)
+        u = lower + (1.0 - rng.random()) * (1.0 - lower)
+        u = max(u, np.finfo(np.float64).tiny)
+        keys.append(-math.log(u) / w)
+        indices.append(j)
+        consumed = float(cumulative[j])
+        if j == n - 1:
+            break
+    return np.asarray(indices, dtype=np.int64), np.asarray(keys, dtype=np.float64)
+
+
+def _log_uniform_weights(seed, n, low_exp, high_exp):
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(low_exp, high_exp, size=n)
+
+
+class TestClearanceTraversal:
+    """The clearance check changes no draw and no decision of the traversal."""
+
+    @staticmethod
+    def _assert_same_traversal(weights, threshold, seed):
+        rng_new = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        idx, keys = keymod.weighted_jump_positions(weights, threshold, rng_new)
+        idx_ref, keys_ref = _eager_cumsum_jump_positions(weights, threshold, rng_ref)
+        assert idx.dtype == idx_ref.dtype and keys.dtype == keys_ref.dtype
+        assert idx.tobytes() == idx_ref.tobytes()
+        assert keys.tobytes() == keys_ref.tobytes()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        return idx
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000, 4096, 65_536])
+    @pytest.mark.parametrize("spread", [(-12, 12), (-12, -6), (6, 12), (0, 2)])
+    def test_matches_eager_prefix_sum_across_sizes_and_scales(self, n, spread):
+        weights = _log_uniform_weights(n, n, *spread)
+        total = float(np.cumsum(weights)[-1])
+        accepted = 0
+        # thresholds from "the first jump clears almost every batch" to
+        # "many insertions per batch"
+        for scale in (1e-3, 0.3, 1.0, 3.0, 30.0):
+            threshold = scale / total
+            for seed in range(6):
+                accepted += len(self._assert_same_traversal(weights, threshold, seed))
+        assert accepted > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.floats(min_value=1e-12, max_value=1e12), min_size=1, max_size=200),
+        log_scale=st.floats(min_value=-3.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**20),
+    )
+    def test_matches_eager_prefix_sum_property(self, weights, log_scale, seed):
+        # threshold * total is the expected number of accepted items; far
+        # above the batch size a skip can fall below one ulp of the
+        # consumed weight, which neither traversal is meant for
+        w = np.array(weights)
+        self._assert_same_traversal(w, 10.0**log_scale / float(np.cumsum(w)[-1]), seed)
+
+    def test_caller_supplied_weight_sum_gives_the_same_traversal(self):
+        weights = _log_uniform_weights(3, 4096, 0, 2)
+        threshold = 1.0 / float(weights.sum())
+        for seed in range(20):
+            a = keymod.weighted_jump_positions(weights, threshold, np.random.default_rng(seed))
+            b = keymod.weighted_jump_positions(
+                weights, threshold, np.random.default_rng(seed), weight_sum=float(weights.sum())
+            )
+            assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.floats(min_value=1e-12, max_value=1e12), min_size=1, max_size=500),
+    )
+    def test_clearance_bound_is_never_below_the_prefix_sum_total(self, weights):
+        w = np.array(weights)
+        bound = keymod.jump_clearance_bound(float(w.sum()), w.shape[0])
+        assert bound >= float(np.cumsum(w)[-1])
+
+    @pytest.mark.parametrize("n", [1, 1000, 65_536])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_clearance_bound_on_adversarial_orders(self, n, seed):
+        # ascending and descending orders maximise the gap between the
+        # left-to-right and the pairwise rounding
+        w = _log_uniform_weights(seed, n, -12, 12)
+        for order in (w, np.sort(w), np.sort(w)[::-1].copy()):
+            bound = keymod.jump_clearance_bound(float(order.sum()), n)
+            assert bound >= float(np.cumsum(order)[-1])
+
+    def test_clearance_bound_of_an_overflowing_sum_clears_nothing(self):
+        assert keymod.jump_clearance_bound(float("inf"), 3) == float("inf")

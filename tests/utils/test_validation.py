@@ -104,3 +104,55 @@ class TestCheckWeights:
 
     def test_empty_is_allowed(self):
         assert check_weights([]).shape == (0,)
+
+
+class TestCheckWeightsMessages:
+    """The one-pass check raises exactly what the two-pass check raised."""
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1.0, float("nan")], "weights must be finite"),
+            ([float("inf"), 1.0], "weights must be finite"),
+            ([1.0, float("-inf")], "weights must be finite"),
+            ([float("nan"), -1.0], "weights must be finite"),
+            ([-1.0, float("nan")], "weights must be finite"),
+            ([0.0, float("inf")], "weights must be finite"),
+            ([1.0, 0.0], "weights must be strictly positive"),
+            ([0.0], "weights must be strictly positive"),
+            ([2.0, -3.0, 1.0], "weights must be strictly positive"),
+            ([-0.0, 1.0], "weights must be strictly positive"),
+        ],
+    )
+    def test_invalid_weights_keep_their_message(self, weights, message):
+        with pytest.raises(ValueError) as info:
+            check_weights(np.array(weights))
+        assert str(info.value) == message
+
+    def test_custom_name_is_used(self):
+        with pytest.raises(ValueError, match=r"^w must be finite$"):
+            check_weights([float("nan")], name="w")
+        with pytest.raises(ValueError, match=r"^w must be strictly positive$"):
+            check_weights([-1.0], name="w")
+
+    def test_two_dimensional_keeps_its_message(self):
+        with pytest.raises(ValueError) as info:
+            check_weights(np.ones((2, 2)))
+        assert str(info.value) == "weights must be one-dimensional, got shape (2, 2)"
+        assert type(info.value) is ValueError
+
+    def test_two_dimensional_is_reported_before_bad_values(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            check_weights(np.array([[float("nan"), -1.0]]))
+
+    def test_empty_input_passes_unchanged(self):
+        out = check_weights(np.empty(0))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_tiny_and_huge_finite_weights_pass(self):
+        weights = np.array([5e-324, 1e-300, 1.0, 1.7e308])
+        assert check_weights(weights) is weights
+
+    def test_non_numeric_input_raises_like_before(self):
+        with pytest.raises(ValueError):
+            check_weights(["a", "b"])
